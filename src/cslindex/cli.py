@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 computational disagreement (verify/corpus),
-2 input error.  All output is deterministic for fixed inputs, flags and
-seed; --json mirrors the plain fields one for one.
+Exit codes: 0 success, 1 computational disagreement (verify/corpus) or a
+failed internal cross-check, 2 input error.  All output is deterministic
+for fixed inputs, flags and seed; --json mirrors the plain fields one for
+one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .indices import (
-    CoprimalityViolated,
+    CrossCheckFailed,
     index_closed_form,
     index_fortes,
     index_reflection,
@@ -35,9 +36,8 @@ from .matrices import (
     parse_rat_matrix,
 )
 from .normalform import smith_normal_form
-from .oracle import CapExceeded, index_by_counting, index_by_hnf
+from .oracle import DEFAULT_RESIDUE_CAP, index_by_counting, index_by_hnf
 from .spectrum import (
-    WitnessNotFound,
     coprime_witness,
     four_square_odd_decompose,
     reflection_spectrum,
@@ -47,21 +47,25 @@ from .spectrum import (
 CAP_ENV_VAR = "CSLINDEX_CAP"
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return 10**7
+def _cap(args) -> int:
+    """The counting oracle's cap on q^n, from --cap, else CSLINDEX_CAP, else the default."""
+    if args.cap is not None:
+        source, raw = "--cap", args.cap
+    else:
+        source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
+        if raw is None:
+            return DEFAULT_RESIDUE_CAP
     try:
         cap = int(raw)
-        if cap < 1:
-            raise ValueError
-        return cap
     except ValueError:
-        raise InputError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
+        cap = 0
+    if cap < 1:
+        raise InputError(f"{source} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _read_isometry(path: str) -> RationalIsometry:
@@ -175,8 +179,8 @@ def _verify_reports(y: RationalIsometry, cap: int):
 
 
 def _cmd_verify(args) -> int:
+    cap = _cap(args)
     y = _read_isometry(args.matrix)
-    cap = args.cap if args.cap is not None else _default_cap()
     reports = _verify_reports(y, cap)
     agree = len({r.sigma for r in reports}) == 1
     lines = [f"{r.method} {r.sigma}" for r in reports]
@@ -190,7 +194,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap(args)
     corpus = random_corpus(
         args.dim,
         args.count,
@@ -317,15 +321,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError and every other custom error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CoprimalityViolated, WitnessNotFound, CapExceeded, NotOrthogonal) as exc:
+    except CrossCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

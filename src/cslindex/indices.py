@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .isometry import RationalIsometry, ReflectionAxis
 from .matrices import minors_gcd
-from .normalform import invariant_factors
 
 # minor enumeration stays cheap up to this dimension (C(8,4)^2 = 4900 minors)
 _MINOR_CROSSCHECK_MAX_DIM = 8
@@ -41,6 +40,10 @@ class IndexReport:
     factors: tuple[int, ...]
 
 
+class CrossCheckFailed(RuntimeError):
+    """Two internal computations of the same quantity disagree: a defect, not bad input."""
+
+
 class CoprimalityViolated(ValueError):
     """The product rule was applied to reflections whose indices share a factor."""
 
@@ -55,7 +58,7 @@ class CoprimalityViolated(ValueError):
 
 def index_fortes(y: RationalIsometry) -> IndexReport:
     """Sigma as the product of q / gcd(q, q_i) over the invariant factors q_i of Z."""
-    d = invariant_factors(y.z)
+    d = y.invariant_factors
     sigma = math.prod(y.q // math.gcd(y.q, di) for di in d)
     return IndexReport(sigma, "fortes", d)
 
@@ -68,10 +71,9 @@ def index_closed_form(y: RationalIsometry) -> IndexReport:
     cross-checked against direct minor enumeration.
     """
     m = y.n // 2
-    d = invariant_factors(y.z)
-    delta_m = math.prod(d[:m])
+    delta_m = math.prod(y.invariant_factors[:m])
     if y.n <= _MINOR_CROSSCHECK_MAX_DIM and minors_gcd(y.z, m) != delta_m:
-        raise RuntimeError(
+        raise CrossCheckFailed(
             "invariant-factor product disagrees with direct minor enumeration"
         )
     sigma = y.q**m // delta_m
@@ -104,5 +106,5 @@ def index_coprime_product(vs) -> IndexReport:
 
 def palindrome_factors(y: RationalIsometry) -> tuple[tuple[int, int], ...]:
     """Pairs (d_i, d_{n+1-i}) of invariant factors; each product equals q^2."""
-    d = invariant_factors(y.z)
+    d = y.invariant_factors
     return tuple((d[i], d[y.n - 1 - i]) for i in range((y.n + 1) // 2))

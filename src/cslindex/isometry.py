@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul
+from .normalform import invariant_factors
 from .rng import Lcg
 
 
@@ -49,6 +51,11 @@ class RationalIsometry:
 
     def as_rational(self) -> RatMatrix:
         return RatMatrix.make(self.z, self.q)
+
+    @cached_property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Smith diagonal of z, computed once and shared by the index formulas."""
+        return invariant_factors(self.z)
 
 
 def identity_isometry(n: int) -> RationalIsometry:

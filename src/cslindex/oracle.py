@@ -2,8 +2,10 @@
 
 Two oracles that never look at the invariant factors of Z:
 
-* residue counting: Z^n ∩ Y Z^n = Y M with M = {x : Z x ≡ 0 (mod q)};
-  M contains q Z^n, so Sigma(Y) = [Z^n : M] = q^n / #solutions in (Z/q)^n.
+* subgroup closure: Z^n ∩ Y Z^n = Y M with M = {x : Z x ≡ 0 (mod q)};
+  M contains q Z^n, so Sigma(Y) = [Z^n : M] = q^n / #ker(Z mod q), which
+  is |im(Z mod q)|, the order of the subgroup of (Z/q)^n spanned by the
+  columns of Z.  The closure visits those Sigma elements only.
 * lattice basis: a basis of M from the integer kernel of [Z^T ; -q I],
   mapped through Y and canonicalized by the Hermite form.
 """
@@ -11,8 +13,6 @@ Two oracles that never look at the invariant factors of Z:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .indices import IndexReport
 from .isometry import RationalIsometry
@@ -26,43 +26,35 @@ class CapExceeded(ValueError):
     """q^n residues exceed the enumeration cap; use the HNF oracle instead."""
 
 
-def count_congruence_solutions(z: IntMatrix, q: int) -> int:
-    """Number of x in (Z/q)^n with Z x ≡ 0 (mod q), by exhaustive enumeration.
+def residue_image_size(z: IntMatrix, q: int) -> int:
+    """Order of the subgroup of (Z/q)^rows spanned by the columns of Z mod q.
 
-    The residues are enumerated in mixed-radix order (all values of the
-    trailing n-1 coordinates, then the leading coordinate), with row-wise
-    rejection as soon as some congruence fails.
+    Closure one generator at a time: for a column g outside the group H
+    built so far, H grows by the cosets H + g, H + 2g, ... up to the first
+    multiple of g that lies in H.
     """
-    if q == 1:
-        return 1
-    n = z.cols
-    zm = np.array([[z.at(i, j) % q for j in range(n)] for i in range(z.rows)], dtype=np.int64)
-    if n == 1:
-        return sum(1 for t in range(q) if not np.any((zm[:, 0] * t) % q))
-    grid = np.indices((q,) * (n - 1), dtype=np.int64).reshape(n - 1, -1).T
-    partial = (grid @ zm[:, 1:].T) % q
-    del grid
-    first = zm[:, 0]
-    total = 0
-    for t in range(q):
-        alive = np.ones(partial.shape[0], dtype=bool)
-        for i in range(zm.shape[0]):
-            alive &= (partial[:, i] + t * first[i]) % q == 0
-            if not alive.any():
-                break
-        total += int(alive.sum())
-    return total
+    group = {(0,) * z.rows}
+    for j in range(z.cols):
+        g = tuple(z.at(i, j) % q for i in range(z.rows))
+        base = tuple(group)
+        step = g
+        while step not in group:
+            group.update(tuple((a + b) % q for a, b in zip(h, step)) for h in base)
+            step = tuple((a + b) % q for a, b in zip(step, g))
+    return len(group)
 
 
 def index_by_counting(
     y: RationalIsometry, cap: int = DEFAULT_RESIDUE_CAP
 ) -> IndexReport:
-    """Sigma by counting kernel residues mod q; independent of normal forms."""
+    """Sigma as |im(Z mod q)| by subgroup closure; independent of normal forms.
+
+    The report keeps the kernel count q^n / Sigma as its second factor.
+    """
     if y.q**y.n > cap:
         raise CapExceeded(f"q^n = {y.q ** y.n} exceeds the cap {cap}")
-    count = count_congruence_solutions(y.z, y.q)
-    sigma = y.q**y.n // count
-    return IndexReport(sigma, "oracle_count", (y.q, count))
+    sigma = residue_image_size(y.z, y.q)
+    return IndexReport(sigma, "oracle_count", (y.q, y.q**y.n // sigma))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .indices import CoprimalityViolated
+from .indices import CoprimalityViolated, CrossCheckFailed
 from .isometry import ReflectionAxis, compose, identity_isometry, reflection
 from .oracle import intersection_hnf
 
@@ -56,7 +56,7 @@ def three_square_decompose(m: int) -> SquareWitness | None:
                 squares = (a, b, c)
                 return SquareWitness(m, squares, math.gcd(*squares))
     if not is_three_square_excluded(m):
-        raise RuntimeError(f"search found no representation of {m} but the form test allows one")
+        raise CrossCheckFailed(f"search found no representation of {m} but the form test allows one")
     return None
 
 
@@ -71,16 +71,18 @@ def four_square_odd_decompose(m: int) -> SquareWitness:
     if m < 1 or m % 2 == 0:
         raise ValueError("expected an odd positive integer")
     three = three_square_decompose(2 * m - 1)
-    assert three is not None  # 2m-1 is 1 or 5 mod 8, never excluded
+    if three is None:  # 2m-1 is 1 or 5 mod 8, never excluded
+        raise CrossCheckFailed(f"no three-square decomposition of {2 * m - 1}")
     odd = [x for x in three.squares if x % 2]
     even = [x for x in three.squares if x % 2 == 0]
-    assert len(odd) == 1
+    if len(odd) != 1:
+        raise CrossCheckFailed(f"{2 * m - 1} = sum of squares of {three.squares}, expected one odd term")
     u, v = even[0] // 2, even[1] // 2
     t = (odd[0] - 1) // 2
     squares = (u + v, u - v, t, t + 1)
     content = math.gcd(*squares)
     if sum(x * x for x in squares) != m or content != 1:
-        raise RuntimeError(f"four-square construction failed for {m}")
+        raise CrossCheckFailed(f"four-square construction failed for {m}")
     return SquareWitness(m, squares, content)
 
 
@@ -132,7 +134,7 @@ def _verified_witness(
         iso = compose(iso, reflection(axis))
     got = intersection_hnf(iso).index
     if got != sigma:
-        raise RuntimeError(f"witness verification failed: oracle says {got}, wanted {sigma}")
+        raise CrossCheckFailed(f"witness verification failed: oracle says {got}, wanted {sigma}")
     return IndexWitness(sigma, n, axes)
 
 

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cslindex import indices, isometry, spectrum
 from cslindex.cli import main
+from cslindex.normalform import invariant_factors
+from cslindex.oracle import IntersectionBasis
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
@@ -55,6 +58,35 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--matrix", str(f), "--cap", "10")
         assert code == 0
         assert "oracle_count" not in out
+
+    def test_smith_form_once_per_isometry(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return invariant_factors(z)
+
+        monkeypatch.setattr(isometry, "invariant_factors", counted)
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, _ = run(capsys, "verify", "--matrix", str(f))
+        assert code == 0
+        assert "fortes 5" in out and "closed_form 5" in out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "corpus"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_rejected(self, capsys, tmp_path, command, cap):
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        if command == "verify":
+            args = ["verify", "--matrix", str(f)]
+        else:
+            args = ["corpus", "--dim", "2", "--count", "3", "--seed", "1"]
+        code, out, err = run(capsys, *args, "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --cap must be a positive integer")
 
     def test_not_orthogonal(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -157,3 +189,21 @@ class TestEnvCap(object):
         monkeypatch.setenv("CSLINDEX_CAP", "zero")
         code, _, err = run(capsys, "verify", "--matrix", str(f))
         assert code == 2
+
+
+class TestCrossCheckFailure:
+    def test_closed_form_mismatch_exits_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(indices, "minors_gcd", lambda z, m: 0)
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, err = run(capsys, "index", "--matrix", str(f))
+        assert code == 1
+        assert err.startswith("error: invariant-factor product disagrees")
+        assert "Traceback" not in err
+
+    def test_witness_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectrum, "intersection_hnf", lambda y: IntersectionBasis(None, 0))
+        code, out, err = run(capsys, "spectrum", "--dim", "3", "--max", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: witness verification failed")

@@ -1,20 +1,30 @@
-import pytest
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import cslindex
 from cslindex.indices import index_fortes
 from cslindex.isometry import (
     from_rational_matrix,
     identity_isometry,
     random_corpus,
+    random_isometry,
     reflection,
 )
 from cslindex.matrices import IntMatrix, RatMatrix, mat_mul
 from cslindex.normalform import hnf_lattice_contains
 from cslindex.oracle import (
     CapExceeded,
-    count_congruence_solutions,
     index_by_counting,
     index_by_hnf,
     intersection_hnf,
+    residue_image_size,
 )
 
 ROT_2D = from_rational_matrix(
@@ -57,7 +67,39 @@ class TestCounting:
             for y in range(5)
             if (3 * x - 4 * y) % 5 == 0 and (4 * x + 3 * y) % 5 == 0
         )
-        assert count_congruence_solutions(IntMatrix.from_rows(z), 5) == expected == 5
+        assert 25 // residue_image_size(IntMatrix.from_rows(z), 5) == expected == 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        k=st.integers(1, 2),
+        bound=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closure_matches_brute_force_kernel(self, n, k, bound, seed):
+        y = random_isometry(n, k, bound, seed)
+        assume(y.q**n <= 10**4)
+        z = y.z.to_rows()
+        kernel = sum(
+            1
+            for x in itertools.product(range(y.q), repeat=n)
+            if all(sum(z[i][j] * x[j] for j in range(n)) % y.q == 0 for i in range(n))
+        )
+        assert residue_image_size(y.z, y.q) * kernel == y.q**n
+        assert index_by_counting(y).factors == (y.q, kernel)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(cslindex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cslindex; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestIntersectionHnf:

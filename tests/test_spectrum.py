@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from cslindex.indices import CoprimalityViolated
+from cslindex import spectrum
+from cslindex.indices import CoprimalityViolated, CrossCheckFailed
 from cslindex.oracle import index_by_counting
 from cslindex.isometry import reflection
 from cslindex.spectrum import (
+    SquareWitness,
     WitnessNotFound,
     coprime_witness,
     four_square_odd_decompose,
@@ -63,6 +65,13 @@ class TestFourSquaresOdd:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             four_square_odd_decompose(4)
+
+    @pytest.mark.parametrize("three", [None, SquareWitness(3, (1, 1, 1), 1)])
+    def test_broken_three_square_step_raises(self, monkeypatch, three):
+        # explicit raises, not asserts: these checks must survive python -O
+        monkeypatch.setattr(spectrum, "three_square_decompose", lambda m: three)
+        with pytest.raises(CrossCheckFailed):
+            four_square_odd_decompose(7)
 
 
 class TestShellEnumeration:
