@@ -195,6 +195,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_corpus(args) -> int:
     cap = _cap(args)
+    for flag, value in (("--count", args.count), ("--reflections", args.reflections)):
+        if value < 0:
+            raise InputError(f"{flag} must be a nonnegative integer, got {value}")
     corpus = random_corpus(
         args.dim,
         args.count,

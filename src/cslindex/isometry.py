@@ -8,13 +8,14 @@ integral, gcd of the entries of Z equal to 1 and q > 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul
-from .normalform import invariant_factors
+from .normalform import _smith_diagonal_mod
 from .rng import Lcg
 
 
@@ -38,11 +39,13 @@ class RationalIsometry:
         if gcd_entries(self.z) != 1:
             raise ValueError("entries of z must have gcd 1")
         qsq = self.q * self.q
-        ztz = mat_mul(self.z.transpose(), self.z)
-        for i in range(self.n):
-            for j in range(self.n):
+        cols = self.z.columns()
+        # Z^T Z is symmetric, so its entries with i <= j cover all of it, and the
+        # first failure in row-major order always has i <= j
+        for i, ci in enumerate(cols):
+            for j in range(i, self.n):
                 expected = qsq if i == j else 0
-                got = ztz.at(i, j)
+                got = sum(map(operator.mul, ci, cols[j]))
                 if got != expected:
                     raise NotOrthogonal(
                         f"columns {i} and {j} have inner product "
@@ -54,8 +57,12 @@ class RationalIsometry:
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
-        """Smith diagonal of z, computed once and shared by the index formulas."""
-        return invariant_factors(self.z)
+        """Smith diagonal of z, computed once and shared by the index formulas.
+
+        d_1 = 1 and d_i * d_{n+1-i} = q^2, so every factor divides q^2 and the
+        diagonal comes from elimination mod q^2, without transforms.
+        """
+        return _smith_diagonal_mod(self.z, self.q * self.q)
 
 
 def identity_isometry(n: int) -> RationalIsometry:

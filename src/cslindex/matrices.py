@@ -6,6 +6,7 @@ Everything here is pure and immutable; no floating point is ever used.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -60,11 +61,12 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def columns(self) -> list[tuple[int, ...]]:
+        return [self.entries[j :: self.cols] for j in range(self.cols)]
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            self.cols, self.rows, tuple(x for col in self.columns() for x in col)
         )
 
     def scale(self, c: int) -> "IntMatrix":
@@ -100,11 +102,11 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = b.transpose()
+    cols = b.columns()
     out = []
     for i in range(a.rows):
         ra = a.row(i)
-        out.extend(sum(x * y for x, y in zip(ra, bt.row(j))) for j in range(b.cols))
+        out.extend(sum(map(operator.mul, ra, cb)) for cb in cols)
     return IntMatrix(a.rows, b.cols, tuple(out))
 
 

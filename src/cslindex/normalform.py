@@ -1,11 +1,14 @@
 """Smith and Hermite normal forms over the integers, with transforms.
 
 Both algorithms use elementary (unimodular) row/column operations only, so
-the recorded transforms P, Q, U are exact witnesses of the reduction.
+the recorded transforms P, Q, U are exact witnesses of the reduction.  When
+only the Smith diagonal is needed and a multiple of the last invariant factor
+is known, `_smith_diagonal_mod` finds it mod that multiple, without transforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .matrices import IntMatrix
@@ -153,6 +156,59 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     return smith_normal_form(a).d
+
+
+def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> tuple[int, ...]:
+    """Smith diagonal of a square full-rank a whose last invariant factor divides modulus.
+
+    Then modulus * Z^n lies in the column lattice of a, so the cokernel is
+    that of a mod modulus (Domich, Kannan & Trotter 1987): elimination runs
+    without transforms on entries reduced symmetrically mod N = modulus,
+    and leaves the cokernel as the sum of Z/gcd(pivot, N), with N for each
+    pivot of a zero remaining block.
+    """
+    N = modulus
+    half = N // 2
+    n = a.rows
+    # (x + half) % N - half is the symmetric residue of x, in [-half, N - half)
+    A = [[(x + half) % N - half for x in a.row(i)] for i in range(n)]
+    d = []
+    for t in range(n):
+        nonzero = [(abs(e), i, j) for i in range(t, n) for j, e in enumerate(A[i][t:], t) if e]
+        if not nonzero:
+            d.extend([N] * (n - t))
+            break
+        _, i, j = min(nonzero)
+        _swap_rows(A, t, i)
+        _swap_cols(A, t, j)
+        rt = A[t]
+        while any(A[i][t] for i in range(t + 1, n)) or any(rt[t + 1 :]):
+            # clear column t by row operations; rows and columns before t are already clear
+            for i in range(t + 1, n):
+                while A[i][t]:
+                    c = A[i][t] // A[t][t]
+                    ri, rt = A[i], A[t]
+                    for j in range(t, n):
+                        ri[j] = (ri[j] - c * rt[j] + half) % N - half
+                    if ri[t]:
+                        _swap_rows(A, t, i)
+            # clear row t by column operations; a swap may refill column t
+            rt = A[t]
+            for j in range(t + 1, n):
+                while rt[j]:
+                    c = rt[j] // rt[t]
+                    for i in range(t, n):
+                        r = A[i]
+                        r[j] = (r[j] - c * r[t] + half) % N - half
+                    if rt[j]:
+                        _swap_cols(A, t, j)
+        d.append(math.gcd(A[t][t], N))
+    # order into a divisibility chain: per prime, (gcd, lcm) puts the smaller power first
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 def _row_echelon(a: IntMatrix):

@@ -96,19 +96,30 @@ class IndexWitness:
 
 
 def primitive_axes_with_norm(n: int, norm: int) -> Iterator[tuple[int, ...]]:
-    """Canonical (non-increasing, nonnegative) primitive vectors of a given norm."""
+    """Canonical (non-increasing, nonnegative) primitive vectors of a given norm.
 
-    def shells(remaining: int, slots: int, cap: int, prefix: tuple[int, ...]):
+    Depth-first in descending lexicographic order.  The stack is explicit, so
+    the dimension is not bounded by the recursion limit.
+    """
+    if n < 1:
+        return
+    prefix: list[int] = []
+    stack = [(norm, iter(range(math.isqrt(norm), -1, -1)))]  # per slot: norm left, values to try
+    while stack:
+        left, values = stack[-1]
+        a = next(values, None)
+        if a is None:
+            stack.pop()
+            continue
+        del prefix[len(stack) - 1 :]
+        prefix.append(a)
+        remaining = left - a * a
+        slots = n - len(stack)
         if slots == 0:
-            if remaining == 0:
-                yield prefix
-            return
-        for a in range(min(cap, math.isqrt(remaining)), -1, -1):
-            yield from shells(remaining - a * a, slots - 1, a, prefix + (a,))
-
-    for tup in shells(norm, n, math.isqrt(norm), ()):
-        if math.gcd(*tup) == 1:
-            yield tup
+            if remaining == 0 and math.gcd(*prefix) == 1:
+                yield tuple(prefix)
+        elif remaining <= slots * a * a:  # later coordinates are at most a
+            stack.append((remaining, iter(range(min(a, math.isqrt(remaining)), -1, -1))))
 
 
 def reflection_witness_axis(n: int, sigma: int) -> ReflectionAxis | None:

@@ -4,7 +4,7 @@ import pytest
 
 from cslindex import indices, isometry, spectrum
 from cslindex.cli import main
-from cslindex.normalform import invariant_factors
+from cslindex.normalform import _smith_diagonal_mod
 from cslindex.oracle import IntersectionBasis
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
@@ -62,11 +62,11 @@ class TestVerify:
     def test_smith_form_once_per_isometry(self, capsys, tmp_path, monkeypatch):
         calls = []
 
-        def counted(z):
+        def counted(z, modulus):
             calls.append(z)
-            return invariant_factors(z)
+            return _smith_diagonal_mod(z, modulus)
 
-        monkeypatch.setattr(isometry, "invariant_factors", counted)
+        monkeypatch.setattr(isometry, "_smith_diagonal_mod", counted)
         f = tmp_path / "rot.txt"
         f.write_text(ROT)
         code, out, _ = run(capsys, "verify", "--matrix", str(f))
@@ -172,6 +172,18 @@ class TestCorpus:
         _, raw, _ = run(capsys, "corpus", "--dim", "2", "--count", "5", "--seed", "3", "--json")
         records = json.loads(raw)
         assert [f"q={r['q']} sigma={r['sigma']} agree=yes" for r in records] == plain.splitlines()
+
+
+    @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--reflections", "-2")])
+    def test_negative_size_rejected(self, capsys, flag, value):
+        args = {"--count": "3", "--reflections": "3"}
+        args[flag] = value
+        code, out, err = run(
+            capsys, "corpus", "--dim", "3", "--seed", "1", *(x for kv in args.items() for x in kv)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be a nonnegative integer, got {value}\n"
 
 
 class TestEnvCap(object):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cslindex.indices import (
     CoprimalityViolated,
@@ -14,11 +16,13 @@ from cslindex.isometry import (
     from_rational_matrix,
     identity_isometry,
     random_corpus,
+    random_isometry,
     reflection,
     transpose_inverse,
 )
 from cslindex.matrices import IntMatrix, RatMatrix
-from cslindex.normalform import invariant_factors
+from cslindex.normalform import invariant_factors, smith_normal_form
+from cslindex.oracle import index_by_hnf
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -146,3 +150,32 @@ class TestInvariantFactorStructure:
         for n in (2, 3, 4):
             for y in random_corpus(n, 10, 700 + n):
                 assert index_fortes(y).sigma == index_fortes(transpose_inverse(y)).sigma
+
+
+@st.composite
+def isometries(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(0, n))
+    bound = draw(st.integers(1, 8))
+    return random_isometry(n, k, bound, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestIsometryProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(isometries())
+    def test_diagonal_mod_q_squared_is_smith_diagonal(self, y):
+        assert y.invariant_factors == smith_normal_form(y.z).d
+
+    @settings(max_examples=40, deadline=None)
+    @given(isometries())
+    def test_palindromic_products(self, y):
+        d = y.invariant_factors
+        assert all(d[i] * d[y.n - 1 - i] == y.q * y.q for i in range(y.n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(isometries())
+    def test_sigma_invariant_under_transpose(self, y):
+        yt = transpose_inverse(y)
+        sigma = index_fortes(y).sigma
+        assert index_fortes(yt).sigma == sigma
+        assert index_by_hnf(y).sigma == index_by_hnf(yt).sigma == sigma

@@ -53,6 +53,22 @@ class TestFromRationalMatrix:
             from_rational_matrix(RatMatrix.make(IntMatrix.from_rows([[1, 1], [0, 1]]), 1))
         assert "inner product" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            # only columns 1 and 2 clash
+            ([(5, 0, 0), (0, 3, 4), (0, 4, 3)], "columns 1 and 2 have inner product 24/25, expected 0"),
+            # (0, 2) clashes and column 2 has the wrong norm; the first pair is reported
+            ([(5, 0, 0), (0, 5, 0), (1, 0, 5)], "columns 0 and 2 have inner product 1/5, expected 0"),
+            ([(5, 0, 0), (0, 5, 0), (0, 0, 4)], "columns 2 and 2 have inner product 16/25, expected 1"),
+        ],
+    )
+    def test_first_failing_pair_named(self, columns, message):
+        z = IntMatrix.from_rows(list(zip(*columns)))
+        with pytest.raises(NotOrthogonal) as exc:
+            from_rational_matrix(RatMatrix.make(z, 5))
+        assert str(exc.value) == message
+
     def test_non_square(self):
         with pytest.raises(ValueError):
             from_rational_matrix(RatMatrix.make(IntMatrix.from_rows([[1, 0]]), 1))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cslindex.matrices import IntMatrix, det, gcd_entries, mat_mul, minors_gcd
 from cslindex.normalform import (
+    _smith_diagonal_mod,
     hermite_normal_form,
     hnf_lattice_contains,
     integer_row_kernel,
@@ -14,7 +15,7 @@ from cslindex.normalform import (
 )
 
 
-def matrices(max_dim=4, lo=-9, hi=9):
+def matrices(max_dim=4, lo=-9, hi=9, dims=None):
     def build(dims):
         m, n = dims
         return st.lists(
@@ -23,7 +24,9 @@ def matrices(max_dim=4, lo=-9, hi=9):
             max_size=m,
         ).map(IntMatrix.from_rows)
 
-    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(build)
+    if dims is None:
+        dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
+    return dims.flatmap(build)
 
 
 def check_decomposition(a):
@@ -90,6 +93,18 @@ class TestSmithNormalForm:
                     minors_gcd(a, i)
             else:
                 assert prod == minors_gcd(a, i)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5)
+        .flatmap(lambda n: matrices(dims=st.just((n, n))))
+        .filter(lambda a: det(a) != 0),
+        st.integers(1, 3),
+    )
+    def test_diagonal_mod_a_multiple_of_the_determinant(self, a, c):
+        # the last invariant factor divides |det a|, so any multiple of it is a valid modulus
+        assert _smith_diagonal_mod(a, c * abs(det(a))) == smith_normal_form(a).d
 
 
 class TestHermiteNormalForm:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -85,6 +86,25 @@ class TestShellEnumeration:
 
     def test_no_primitive_norm_8_in_4d(self):
         assert list(primitive_axes_with_norm(4, 8)) == []
+
+    def test_descending_lexicographic_order(self):
+        # witnesses are the first axis found, so the order is part of the CLI output
+        for n in range(1, 6):
+            for norm in range(40):
+                expected = sorted(
+                    (
+                        tup[::-1]
+                        for tup in combinations_with_replacement(range(math.isqrt(norm) + 1), n)
+                        if sum(x * x for x in tup) == norm and math.gcd(*tup) == 1
+                    ),
+                    reverse=True,
+                )
+                assert list(primitive_axes_with_norm(n, norm)) == expected
+
+    def test_dimension_beyond_recursion_limit(self):
+        n = 1500
+        assert list(primitive_axes_with_norm(n, 3)) == [(1, 1, 1) + (0,) * (n - 3)]
+        assert reflection_witness_axis(n, 2).coords == (1, 1, 1, 1) + (0,) * (n - 4)
 
 
 class TestReflectionSpectrum:
