@@ -133,42 +133,32 @@ def _cmd_snf(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc))
     dec = smith_normal_form(a)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": list(dec.d),
-                    "p": dec.p.to_rows(),
-                    "q": dec.q_right.to_rows(),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print("d " + " ".join(str(x) for x in dec.d))
-        print("P")
-        print(format_int_matrix(dec.p), end="")
-        print("Q")
-        print(format_int_matrix(dec.q_right), end="")
+    _emit(
+        args,
+        ["d " + " ".join(str(x) for x in dec.d), "P"]
+        + format_int_matrix(dec.p).splitlines()
+        + ["Q"]
+        + format_int_matrix(dec.q_right).splitlines(),
+        {"d": list(dec.d), "p": dec.p.to_rows(), "q": dec.q_right.to_rows()},
+    )
+    return 0
+
+
+def _emit_isometry(args, iso: RationalIsometry) -> int:
+    _emit(
+        args,
+        format_rat_matrix(iso.as_rational()).splitlines(),
+        {"q": iso.q, "z": iso.z.to_rows()},
+    )
     return 0
 
 
 def _cmd_reflect(args) -> int:
-    iso = reflection(_parse_vector(args.vector))
-    if args.json:
-        print(json.dumps({"q": iso.q, "z": iso.z.to_rows()}, sort_keys=True))
-    else:
-        print(format_rat_matrix(iso.as_rational()), end="")
-    return 0
+    return _emit_isometry(args, reflection(_parse_vector(args.vector)))
 
 
 def _cmd_compose(args) -> int:
-    iso = compose(_read_isometry(args.left), _read_isometry(args.right))
-    if args.json:
-        print(json.dumps({"q": iso.q, "z": iso.z.to_rows()}, sort_keys=True))
-    else:
-        print(format_rat_matrix(iso.as_rational()), end="")
-    return 0
+    return _emit_isometry(args, compose(_read_isometry(args.left), _read_isometry(args.right)))
 
 
 def _verify_reports(y: RationalIsometry, cap: int):
@@ -212,27 +202,22 @@ def _cmd_corpus(args) -> int:
         agree = len({r.sigma for r in reports}) == 1
         ok = ok and agree
         records.append({"q": y.q, "sigma": reports[0].sigma, "agree": agree})
-    if args.json:
-        print(json.dumps(records, sort_keys=True))
-    else:
-        for rec in records:
-            print(f"q={rec['q']} sigma={rec['sigma']} agree={'yes' if rec['agree'] else 'no'}")
+    _emit(
+        args,
+        [f"q={r['q']} sigma={r['sigma']} agree={'yes' if r['agree'] else 'no'}" for r in records],
+        records,
+    )
     return 0 if ok else 1
 
 
 def _cmd_spectrum(args) -> int:
     table = reflection_spectrum(args.dim, args.max)
-    if args.json:
-        print(
-            json.dumps(
-                {str(s): list(w.axes[0].coords) for s, w in sorted(table.items())},
-                sort_keys=True,
-            )
-        )
-    else:
-        for sigma in sorted(table):
-            coords = ",".join(str(c) for c in table[sigma].axes[0].coords)
-            print(f"{sigma}\t{coords}")
+    axes = {s: table[s].axes[0].coords for s in sorted(table)}
+    _emit(
+        args,
+        [f"{s}\t" + ",".join(str(c) for c in coords) for s, coords in axes.items()],
+        {str(s): list(coords) for s, coords in axes.items()},
+    )
     return 0
 
 

@@ -86,6 +86,14 @@ def index_reflection(v) -> IndexReport:
     return IndexReport(axis.coincidence_index, "reflection", (axis.norm_sq,))
 
 
+def _require_pairwise_coprime(rs) -> None:
+    """Raise CoprimalityViolated for the first pair of indices sharing a factor."""
+    for i in range(len(rs)):
+        for j in range(i + 1, len(rs)):
+            if math.gcd(rs[i], rs[j]) != 1:
+                raise CoprimalityViolated(i, j, rs[i], rs[j])
+
+
 def index_coprime_product(vs) -> IndexReport:
     """Index of a product of reflections with pairwise coprime indices.
 
@@ -97,10 +105,7 @@ def index_coprime_product(vs) -> IndexReport:
         for v in vs
     ]
     rs = [axis.coincidence_index for axis in axes]
-    for i in range(len(rs)):
-        for j in range(i + 1, len(rs)):
-            if math.gcd(rs[i], rs[j]) != 1:
-                raise CoprimalityViolated(i, j, rs[i], rs[j])
+    _require_pairwise_coprime(rs)
     return IndexReport(math.prod(rs), "coprime_product", tuple(rs))
 
 

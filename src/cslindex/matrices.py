@@ -80,11 +80,6 @@ class IntMatrix:
             raise ValueError(f"{c} does not divide all entries")
         return IntMatrix(self.rows, self.cols, tuple(e // c for e in self.entries))
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         return IntMatrix.from_rows(
             [[self.at(i, j) for j in col_idx] for i in row_idx]
@@ -93,9 +88,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -1,7 +1,8 @@
-"""Smith and Hermite normal forms over the integers, with transforms.
+"""Smith and Hermite normal forms over the integers.
 
-Both algorithms use elementary (unimodular) row/column operations only, so
-the recorded transforms P, Q, U are exact witnesses of the reduction.  When
+Both algorithms use elementary (unimodular) row/column operations only.
+Only `smith_normal_form` records its transforms P and Q, as exact witnesses
+of the reduction; the Hermite form returns the canonical basis alone.  When
 only the Smith diagonal is needed and a multiple of the last invariant factor
 is known, `_smith_diagonal_mod` finds it mod that multiple, without transforms.
 """
@@ -32,18 +33,6 @@ class SmithDecomposition:
                 for j in range(cols)
             ),
         )
-
-
-@dataclass(frozen=True)
-class HermiteForm:
-    """Row-style Hermite form: u * A equals h with zero rows appended.
-
-    h keeps only the nonzero rows (the canonical lattice basis); u is the
-    full unimodular row transform.
-    """
-
-    h: IntMatrix
-    u: IntMatrix
 
 
 def _swap_rows(m: list[list[int]], i: int, k: int) -> None:
@@ -214,12 +203,11 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> tuple[int, ...]:
 def _row_echelon(a: IntMatrix):
     """Integer row echelon form via unimodular row ops.
 
-    Returns (reduced rows, transform rows, rank).  Pivots are positive and
-    entries above each pivot are reduced into [0, pivot).
+    Returns (reduced rows, rank).  Pivots are positive and entries above
+    each pivot are reduced into [0, pivot).
     """
     m, n = a.rows, a.cols
     A = a.to_rows()
-    U = IntMatrix.identity(m).to_rows()
     r = 0
     for j in range(n):
         while True:
@@ -229,13 +217,11 @@ def _row_echelon(a: IntMatrix):
             i0 = min(nz, key=lambda i: abs(A[i][j]))
             if i0 != r:
                 _swap_rows(A, r, i0)
-                _swap_rows(U, r, i0)
             done = True
             for i in range(r + 1, m):
                 if A[i][j]:
                     q = A[i][j] // A[r][j]
                     _add_row(A, i, r, -q)
-                    _add_row(U, i, r, -q)
                     if A[i][j]:
                         done = False
             if done:
@@ -243,32 +229,26 @@ def _row_echelon(a: IntMatrix):
         if r < m and A[r][j]:
             if A[r][j] < 0:
                 _negate_row(A, r)
-                _negate_row(U, r)
             for i in range(r):
                 q = A[i][j] // A[r][j]
                 if q:
                     _add_row(A, i, r, -q)
-                    _add_row(U, i, r, -q)
             r += 1
-    return A, U, r
+    return A, r
 
 
-def hermite_normal_form(a: IntMatrix) -> HermiteForm:
-    """Canonical row-style Hermite normal form of a full-column-rank matrix."""
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Canonical row-style Hermite normal form of a full-column-rank matrix.
+
+    The result keeps only the nonzero rows: the canonical basis of the row
+    lattice of a.
+    """
     if a.rows < a.cols:
         raise ValueError("hermite_normal_form expects rows >= cols")
-    A, U, rank = _row_echelon(a)
+    A, rank = _row_echelon(a)
     if rank < a.cols:
         raise ValueError(f"rank-deficient input: rank {rank} < {a.cols} columns")
-    return HermiteForm(IntMatrix.from_rows(A[:rank]), IntMatrix.from_rows(U))
-
-
-def integer_row_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis (rows) of the left kernel {x : x * a == 0}."""
-    A, U, rank = _row_echelon(a)
-    if rank == a.rows:
-        raise ValueError("trivial kernel")
-    return IntMatrix.from_rows(U[rank:])
+    return IntMatrix.from_rows(A[:rank])
 
 
 def hnf_lattice_contains(h: IntMatrix, vec) -> bool:

@@ -6,8 +6,10 @@ Two oracles that never look at the invariant factors of Z:
   M contains q Z^n, so Sigma(Y) = [Z^n : M] = q^n / #ker(Z mod q), which
   is |im(Z mod q)|, the order of the subgroup of (Z/q)^n spanned by the
   columns of Z.  The closure visits those Sigma elements only.
-* lattice basis: a basis of M from the integer kernel of [Z^T ; -q I],
-  mapped through Y and canonicalized by the Hermite form.
+* lattice basis: one Hermite form of the 2n x 2n matrix [[Z, I], [q I, 0]],
+  whose row lattice is {(w Z + q k, w)}.  Its last n rows span the vectors
+  with first half zero, (0, w) with w Z ≡ 0 (mod q), and those w make up
+  Z^n ∩ Y Z^n; no kernel and no transform is computed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 from .indices import IndexReport
 from .isometry import RationalIsometry
-from .matrices import IntMatrix, mat_mul
-from .normalform import hermite_normal_form, integer_row_kernel
+from .matrices import IntMatrix
+from .normalform import hermite_normal_form
 
 DEFAULT_RESIDUE_CAP = 10**7
 
@@ -68,21 +70,24 @@ class IntersectionBasis:
 def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
     """Canonical basis of the coincidence sublattice via Hermite reduction.
 
-    Solves x Z^T ≡ 0 (mod q) by extracting the left kernel of the stacked
-    matrix [Z^T ; -q I] (rows (x, w) with x Z^T = q w), then maps the
-    solution lattice through Y.
+    In the echelon basis of [[Z, I], [q I, 0]] the rows with n leading zeros
+    span the lattice vectors that start with n zeros (Cohen 1993, §2.4), so
+    the right n x n block of the last n rows is the Hermite basis of
+    {w : w Z ≡ 0 (mod q)} = Z^n ∩ Y Z^n.
     """
     n, q, z = y.n, y.q, y.z
-    zt = z.transpose()
-    stacked = zt.vstack(IntMatrix.identity(n).scale(-q))
-    kernel = integer_row_kernel(stacked)
-    m_basis = kernel.submatrix(range(kernel.rows), range(n))
-    csl = mat_mul(m_basis, zt).exact_div(q)
-    h = hermite_normal_form(csl).h
+    unit, q_unit = IntMatrix.identity(n), IntMatrix.diagonal([q] * n)
+    h = hermite_normal_form(
+        IntMatrix.from_rows(
+            [z.row(i) + unit.row(i) for i in range(n)]
+            + [q_unit.row(i) + (0,) * n for i in range(n)]
+        )
+    )
+    basis = IntMatrix.from_rows(h.row(i)[n:] for i in range(n, 2 * n))
     index = 1
     for i in range(n):
-        index *= h.at(i, i)
-    return IntersectionBasis(h, index)
+        index *= basis.at(i, i)
+    return IntersectionBasis(basis, index)
 
 
 def index_by_hnf(y: RationalIsometry) -> IndexReport:

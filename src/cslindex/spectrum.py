@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .indices import CoprimalityViolated, CrossCheckFailed
+from .indices import CrossCheckFailed, _require_pairwise_coprime
 from .isometry import ReflectionAxis, compose, identity_isometry, reflection
 from .oracle import intersection_hnf
 
@@ -178,10 +178,7 @@ def coprime_witness(targets, n: int) -> IndexWitness:
     targets = [int(t) for t in targets]
     if any(t < 1 for t in targets):
         raise ValueError("targets must be positive")
-    for i in range(len(targets)):
-        for j in range(i + 1, len(targets)):
-            if math.gcd(targets[i], targets[j]) != 1:
-                raise CoprimalityViolated(i, j, targets[i], targets[j])
+    _require_pairwise_coprime(targets)
     axes = []
     for t in targets:
         if t == 1:

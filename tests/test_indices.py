@@ -13,6 +13,8 @@ from cslindex.indices import (
     palindrome_factors,
 )
 from cslindex.isometry import (
+    RationalIsometry,
+    compose,
     from_rational_matrix,
     identity_isometry,
     random_corpus,
@@ -153,8 +155,8 @@ class TestInvariantFactorStructure:
 
 
 @st.composite
-def isometries(draw):
-    n = draw(st.integers(2, 12))
+def isometries(draw, dims=st.integers(2, 12)):
+    n = draw(dims)
     k = draw(st.integers(0, n))
     bound = draw(st.integers(1, 8))
     return random_isometry(n, k, bound, draw(st.integers(0, 2**32 - 1)))
@@ -179,3 +181,39 @@ class TestIsometryProperties:
         sigma = index_fortes(y).sigma
         assert index_fortes(yt).sigma == sigma
         assert index_by_hnf(y).sigma == index_by_hnf(yt).sigma == sigma
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_sigma_invariant_under_signed_permutation(self, data):
+        y = data.draw(isometries(st.integers(2, 7)))
+        n = y.n
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        p = RationalIsometry(
+            n,
+            1,
+            IntMatrix.from_rows(
+                [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+            ),
+        )
+        conjugate = compose(transpose_inverse(p), compose(y, p))  # P^T Y P
+        sigma = index_fortes(y).sigma
+        assert index_fortes(conjugate).sigma == sigma
+        assert index_by_hnf(conjugate).sigma == index_by_hnf(y).sigma == sigma
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(isometries(st.just(n)), isometries(st.just(n)))
+        )
+    )
+    def test_sigma_of_product_divides_product_of_sigmas(self, pair):
+        # Baake 1997: Sigma(Y1 Y2) | Sigma(Y1) Sigma(Y2), with equality for coprime indices
+        y1, y2 = pair
+        s1, s2 = index_fortes(y1).sigma, index_fortes(y2).sigma
+        product = compose(y1, y2)
+        s12 = index_fortes(product).sigma
+        assert index_by_hnf(product).sigma == s12
+        assert (s1 * s2) % s12 == 0
+        if math.gcd(s1, s2) == 1:
+            assert s12 == s1 * s2

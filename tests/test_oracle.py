@@ -18,7 +18,7 @@ from cslindex.isometry import (
     reflection,
 )
 from cslindex.matrices import IntMatrix, RatMatrix, mat_mul
-from cslindex.normalform import hnf_lattice_contains
+from cslindex.normalform import hermite_normal_form, hnf_lattice_contains
 from cslindex.oracle import (
     CapExceeded,
     index_by_counting,
@@ -127,6 +127,27 @@ class TestIntersectionHnf:
             for i in range(y.n):
                 unit = [y.q if j == i else 0 for j in range(y.n)]
                 assert hnf_lattice_contains(basis.basis, unit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        k=st.integers(0, 2),
+        bound=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_basis_against_brute_force_congruence(self, n, k, bound, seed):
+        y = random_isometry(n, k, bound, seed)
+        assume(y.q**n <= 10**4)
+        z = y.z.to_rows()
+
+        def solves(w):  # w Z ≡ 0 (mod q), i.e. w Y is integral
+            return all(sum(w[i] * z[i][j] for i in range(n)) % y.q == 0 for j in range(n))
+
+        result = intersection_hnf(y)
+        assert all(solves(result.basis.row(i)) for i in range(n))
+        assert hermite_normal_form(result.basis) == result.basis
+        solutions = sum(1 for w in itertools.product(range(y.q), repeat=n) if solves(w))
+        assert result.index * solutions == y.q**n
 
 
 class TestOracleAgreement:

@@ -157,6 +157,13 @@ class TestCoprimeWitness:
         with pytest.raises(CoprimalityViolated):
             coprime_witness((3, 6), 5)
 
+    def test_first_shared_pair_named(self):
+        with pytest.raises(CoprimalityViolated) as exc:
+            coprime_witness((5, 3, 7, 6), 5)
+        assert exc.value.pair == (1, 3)
+        assert exc.value.indices == (3, 6)
+        assert "r_1=3 and r_3=6 share the factor 3" in str(exc.value)
+
     def test_unreachable_target(self):
         # 4 is not a reflection index in dimension 3: norm 8 has no primitive vector
         with pytest.raises(WitnessNotFound):
