@@ -68,11 +68,12 @@ def index_closed_form(y: RationalIsometry) -> IndexReport:
 
     delta_m (the gcd of the m x m minors of Z) is taken as the product of
     the first m invariant factors; for small dimensions the value is
-    cross-checked against direct minor enumeration.
+    cross-checked against direct minor enumeration.  For n = 1, m = 0 and
+    delta_0 = 1, the empty product, so there is nothing to cross-check.
     """
     m = y.n // 2
     delta_m = math.prod(y.invariant_factors[:m])
-    if y.n <= _MINOR_CROSSCHECK_MAX_DIM and minors_gcd(y.z, m) != delta_m:
+    if 0 < m and y.n <= _MINOR_CROSSCHECK_MAX_DIM and minors_gcd(y.z, m) != delta_m:
         raise CrossCheckFailed(
             "invariant-factor product disagrees with direct minor enumeration"
         )

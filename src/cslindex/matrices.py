@@ -46,12 +46,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def diagonal(cls, values) -> "IntMatrix":
-        values = [int(v) for v in values]
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -131,10 +125,7 @@ def det(a: IntMatrix) -> int:
 
 def gcd_entries(a: IntMatrix) -> int:
     """gcd of the absolute values of the nonzero entries."""
-    g = 0
-    for e in a.entries:
-        if e:
-            g = math.gcd(g, e)
+    g = math.gcd(*a.entries)
     if g == 0:
         raise ValueError("gcd of entries is undefined for the zero matrix")
     return g

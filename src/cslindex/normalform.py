@@ -1,10 +1,14 @@
 """Smith and Hermite normal forms over the integers.
 
-Both algorithms use elementary (unimodular) row/column operations only.
-Only `smith_normal_form` records its transforms P and Q, as exact witnesses
-of the reduction; the Hermite form returns the canonical basis alone.  When
-only the Smith diagonal is needed and a multiple of the last invariant factor
-is known, `_smith_diagonal_mod` finds it mod that multiple, without transforms.
+Both public algorithms use elementary (unimodular) row/column operations
+only.  Only `smith_normal_form` records its transforms P and Q, as exact
+witnesses of the reduction; `hermite_normal_form` returns the canonical basis
+alone.  Two private routines serve lattices that contain a known multiple N
+of Z^n: `_smith_diagonal_mod` (the Smith diagonal, when N is a multiple of the
+last invariant factor) and `_hermite_tail_mod` (the tail of a Hermite form of
+rows plus N Z^cols).  Both keep every entry mod N and clear an entry with one
+extended-gcd step (`_xgcd`), or by subtracting a multiple of the pivot's row
+when the pivot divides it, so no coefficient outgrows N.
 """
 
 from __future__ import annotations
@@ -22,17 +26,6 @@ class SmithDecomposition:
     p: IntMatrix
     q_right: IntMatrix
     d: tuple[int, ...]
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        return IntMatrix(
-            rows,
-            cols,
-            tuple(
-                self.d[i] if i == j and i < len(self.d) else 0
-                for i in range(rows)
-                for j in range(cols)
-            ),
-        )
 
 
 def _swap_rows(m: list[list[int]], i: int, k: int) -> None:
@@ -143,8 +136,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix.from_rows(P), IntMatrix.from_rows(Q), d)
 
 
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(a).d
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s * a + t * b."""
+    g = math.gcd(a, b)
+    if b == 0:
+        return g, (1 if a >= 0 else -1), 0
+    a, b = a // g, b // g
+    # a and b are now coprime, so s = a^-1 mod |b| exists (0 when |b| = 1)
+    s = pow(a, -1, abs(b))
+    return g, s, (1 - s * a) // b
 
 
 def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> tuple[int, ...]:
@@ -154,50 +154,121 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> tuple[int, ...]:
     that of a mod modulus (Domich, Kannan & Trotter 1987): elimination runs
     without transforms on entries reduced symmetrically mod N = modulus,
     and leaves the cokernel as the sum of Z/gcd(pivot, N), with N for each
-    pivot of a zero remaining block.
+    pivot of a zero remaining block.  An entry below the pivot is cleared by
+    subtracting a multiple of the pivot row when the pivot divides it, and
+    otherwise by one extended-gcd step, which lowers the pivot to the gcd of
+    the two.  Column steps run as row steps on the transpose, which has the
+    same diagonal.
     """
     N = modulus
     half = N // 2
-    n = a.rows
-    # (x + half) % N - half is the symmetric residue of x, in [-half, N - half)
-    A = [[(x + half) % N - half for x in a.row(i)] for i in range(n)]
+    # (x + half) % N - half is the symmetric residue of x, in [-half, N - half);
+    # B is the block still to be reduced
+    B = [[(x + half) % N - half for x in a.row(i)] for i in range(a.rows)]
     d = []
-    for t in range(n):
-        nonzero = [(abs(e), i, j) for i in range(t, n) for j, e in enumerate(A[i][t:], t) if e]
-        if not nonzero:
-            d.extend([N] * (n - t))
+    while B:
+        # the pivot is the least nonzero entry of the first nonzero column
+        j = next((j for j in range(len(B)) if any(row[j] for row in B)), None)
+        if j is None:
+            d.extend([N] * len(B))
             break
-        _, i, j = min(nonzero)
-        _swap_rows(A, t, i)
-        _swap_cols(A, t, j)
-        rt = A[t]
-        while any(A[i][t] for i in range(t + 1, n)) or any(rt[t + 1 :]):
-            # clear column t by row operations; rows and columns before t are already clear
-            for i in range(t + 1, n):
-                while A[i][t]:
-                    c = A[i][t] // A[t][t]
-                    ri, rt = A[i], A[t]
-                    for j in range(t, n):
-                        ri[j] = (ri[j] - c * rt[j] + half) % N - half
-                    if ri[t]:
-                        _swap_rows(A, t, i)
-            # clear row t by column operations; a swap may refill column t
-            rt = A[t]
-            for j in range(t + 1, n):
-                while rt[j]:
-                    c = rt[j] // rt[t]
-                    for i in range(t, n):
-                        r = A[i]
-                        r[j] = (r[j] - c * r[t] + half) % N - half
-                    if rt[j]:
-                        _swap_cols(A, t, j)
-        d.append(math.gcd(A[t][t], N))
+        _, i = min((abs(row[j]), i) for i, row in enumerate(B) if row[j])
+        B[0], B[i] = B[i], B[0]
+        for row in B:
+            row[0], row[j] = row[j], row[0]
+        while True:
+            top = B[0]
+            for i in range(1, len(B)):
+                row = B[i]
+                x, y = top[0], row[0]
+                if not y:
+                    continue
+                if y % x == 0:
+                    c = y // x
+                    B[i] = [(e - c * f + half) % N - half for f, e in zip(top, row)]
+                    continue
+                g, s, u = _xgcd(x, y)
+                x, y = x // g, y // g
+                top, B[i] = (
+                    [(s * f + u * e + half) % N - half for f, e in zip(top, row)],
+                    [(y * f - x * e + half) % N - half for f, e in zip(top, row)],
+                )
+            B[0] = top
+            # the first column is clear; if the pivot divides the first row, column
+            # steps would clear it without touching another row
+            if all(e % top[0] == 0 for e in top):
+                break
+            B = [list(col) for col in zip(*B)]
+        d.append(math.gcd(top[0], N))
+        B = [row[1:] for row in B[1:]]
     # order into a divisibility chain: per prime, (gcd, lcm) puts the smaller power first
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
             g = math.gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
     return tuple(d)
+
+
+def _hermite_tail_mod(a: IntMatrix, modulus: int, lead: int) -> IntMatrix:
+    """Last cols - lead rows of the row Hermite form of the rows of a plus modulus * Z^cols.
+
+    Those rows start with lead zeros, which are dropped.  The lattice holds
+    N * Z^cols (N = modulus), so every entry is kept mod N (Domich, Kannan &
+    Trotter 1987).  Column by column, one extended-gcd step per nonzero row
+    folds the rows into one row r and leaves the others zero there.  With
+    p = gcd(r_j, N) = u r_j + v N, the pivot row is u r + v N e_j, and
+    (N / p) r, which is zero at j mod N, rejoins the rows; a column with no
+    nonzero row has the pivot row N e_j.  Entries above each pivot of the
+    kept rows are reduced into [0, pivot) at the end.
+    """
+    N = modulus
+    rows = [[x % N for x in a.row(i)] for i in range(a.rows)]
+    kept = []  # pivot rows of the columns from lead on
+    for j in range(a.cols):
+        # every row is zero before column j, so row steps start at j
+        r = None
+        rest = []
+        for row in rows:
+            y = row[j]
+            if y and r is None:
+                r = row
+                continue
+            if y:
+                x = r[j]
+                if y % x == 0:
+                    c = y // x
+                    row[j:] = [(e - c * f) % N for f, e in zip(r[j:], row[j:])]
+                else:
+                    g, s, u = _xgcd(x, y)
+                    x, y = x // g, y // g
+                    pairs = list(zip(r[j:], row[j:]))
+                    r[j:] = [(s * f + u * e) % N for f, e in pairs]
+                    row[j:] = [(y * f - x * e) % N for f, e in pairs]
+                if not any(row[j:]):
+                    continue
+            rest.append(row)
+        if r is None:
+            if j >= lead:
+                kept.append([N if i == j else 0 for i in range(lead, a.cols)])
+        else:
+            p, u, _ = _xgcd(r[j], N)
+            if j >= lead:
+                kept.append([u * e % N for e in r[lead:]])  # u r_j = p mod N, and p < N
+            if p > 1:
+                r[j:] = [N // p * e % N for e in r[j:]]
+                if any(r[j:]):
+                    rest.append(r)
+        rows = rest
+    k = len(kept)
+    for i in range(k - 2, -1, -1):
+        bi = kept[i]
+        for j in range(i + 1, k):
+            bj = kept[j]
+            c = bi[j] // bj[j]
+            if c:
+                bi[j] -= c * bj[j]
+                bi[j + 1 :] = [(e - c * f) % N for e, f in zip(bi[j + 1 :], bj[j + 1 :])]
+    return IntMatrix(k, k, tuple(x for row in kept for x in row))
 
 
 def _row_echelon(a: IntMatrix):
@@ -249,24 +320,3 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     if rank < a.cols:
         raise ValueError(f"rank-deficient input: rank {rank} < {a.cols} columns")
     return IntMatrix.from_rows(A[:rank])
-
-
-def hnf_lattice_contains(h: IntMatrix, vec) -> bool:
-    """Membership test for the row lattice of an HNF basis h (square, upper triangular)."""
-    if not h.is_square:
-        raise ValueError("expected a square HNF basis")
-    n = h.cols
-    vec = [int(x) for x in vec]
-    if len(vec) != n:
-        raise ValueError("vector dimension mismatch")
-    coeffs = [0] * n
-    residue = list(vec)
-    for i in range(n):
-        pivot = h.at(i, i)
-        if residue[i] % pivot:
-            return False
-        c = residue[i] // pivot
-        coeffs[i] = c
-        for j in range(i, n):
-            residue[j] -= c * h.at(i, j)
-    return all(x == 0 for x in residue)

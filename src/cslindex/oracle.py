@@ -6,10 +6,12 @@ Two oracles that never look at the invariant factors of Z:
   M contains q Z^n, so Sigma(Y) = [Z^n : M] = q^n / #ker(Z mod q), which
   is |im(Z mod q)|, the order of the subgroup of (Z/q)^n spanned by the
   columns of Z.  The closure visits those Sigma elements only.
-* lattice basis: one Hermite form of the 2n x 2n matrix [[Z, I], [q I, 0]],
-  whose row lattice is {(w Z + q k, w)}.  Its last n rows span the vectors
-  with first half zero, (0, w) with w Z ≡ 0 (mod q), and those w make up
-  Z^n ∩ Y Z^n; no kernel and no transform is computed.
+* lattice basis: one Hermite form of the lattice spanned by the rows of
+  [Z | I] and q Z^2n, which is {(w Z + q k, w + q l)}.  Its last n rows
+  span the vectors with first half zero, (0, w) with w Z ≡ 0 (mod q), and
+  those w make up Z^n ∩ Y Z^n.  The lattice holds q Z^2n, so the
+  elimination keeps every entry mod q, with one extended-gcd step per pair
+  of entries; no kernel and no transform is computed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from .indices import IndexReport
 from .isometry import RationalIsometry
 from .matrices import IntMatrix
-from .normalform import hermite_normal_form
+from .normalform import _hermite_tail_mod
 
 DEFAULT_RESIDUE_CAP = 10**7
 
@@ -68,22 +70,17 @@ class IntersectionBasis:
 
 
 def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
-    """Canonical basis of the coincidence sublattice via Hermite reduction.
+    """Canonical basis of the coincidence sublattice via Hermite reduction mod q.
 
-    In the echelon basis of [[Z, I], [q I, 0]] the rows with n leading zeros
+    In the echelon basis of [Z | I] + q Z^2n the rows with n leading zeros
     span the lattice vectors that start with n zeros (Cohen 1993, §2.4), so
     the right n x n block of the last n rows is the Hermite basis of
     {w : w Z ≡ 0 (mod q)} = Z^n ∩ Y Z^n.
     """
     n, q, z = y.n, y.q, y.z
-    unit, q_unit = IntMatrix.identity(n), IntMatrix.diagonal([q] * n)
-    h = hermite_normal_form(
-        IntMatrix.from_rows(
-            [z.row(i) + unit.row(i) for i in range(n)]
-            + [q_unit.row(i) + (0,) * n for i in range(n)]
-        )
-    )
-    basis = IntMatrix.from_rows(h.row(i)[n:] for i in range(n, 2 * n))
+    unit = IntMatrix.identity(n)
+    stacked = tuple(x for i in range(n) for x in z.row(i) + unit.row(i))
+    basis = _hermite_tail_mod(IntMatrix(n, 2 * n, stacked), q, n)
     index = 1
     for i in range(n):
         index *= basis.at(i, i)

@@ -140,8 +140,8 @@ def reflection_witness_axis(n: int, sigma: int) -> ReflectionAxis | None:
 def _verified_witness(
     n: int, sigma: int, axes: tuple[ReflectionAxis, ...]
 ) -> IndexWitness:
-    iso = identity_isometry(n)
-    for axis in axes:
+    iso = reflection(axes[0]) if axes else identity_isometry(n)
+    for axis in axes[1:]:
         iso = compose(iso, reflection(axis))
     got = intersection_hnf(iso).index
     if got != sigma:

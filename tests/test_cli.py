@@ -9,6 +9,7 @@ from cslindex.oracle import IntersectionBasis
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
+ONE = "1 1\n-1\n"
 
 
 def run(capsys, *args):
@@ -36,6 +37,17 @@ class TestIndex:
         assert "sigma=5 method=fortes" in out
         assert "sigma=5 method=closed_form" in out
 
+    def test_one_by_one_isometry(self, capsys, tmp_path):
+        # m = floor(1/2) = 0, so delta_0 = 1 and Sigma = 1
+        f = tmp_path / "one.txt"
+        f.write_text(ONE)
+        code, out, _ = run(capsys, "index", "--matrix", str(f), "--method", "all")
+        assert code == 0
+        assert out.splitlines() == [
+            "sigma=1 method=fortes factors=[1]",
+            "sigma=1 method=closed_form factors=[1, 1]",
+        ]
+
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "index")
         assert code == 2
@@ -51,6 +63,16 @@ class TestVerify:
         assert "verdict agree" in out
         for method in ("fortes 1", "closed_form 1", "oracle_hnf 1", "oracle_count 1"):
             assert method in out
+
+    def test_one_by_one_isometry(self, capsys, tmp_path):
+        f = tmp_path / "one.txt"
+        f.write_text(ONE)
+        code, out, _ = run(capsys, "verify", "--matrix", str(f), "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "agree": True,
+            "methods": {"closed_form": 1, "fortes": 1, "oracle_count": 1, "oracle_hnf": 1},
+        }
 
     def test_small_cap_skips_counting(self, capsys, tmp_path):
         f = tmp_path / "rot.txt"

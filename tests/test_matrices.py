@@ -16,6 +16,7 @@ from cslindex.matrices import (
     parse_int_matrix,
     parse_rat_matrix,
 )
+from support import diagonal_matrix
 
 Z_ROT = IntMatrix.from_rows([[3, -4], [4, 3]])
 
@@ -39,7 +40,7 @@ class TestMatMul:
         assert mat_mul(a, b) == IntMatrix.from_rows([[2, 1], [1, 1]])
 
     def test_orthogonality_fixture(self):
-        assert mat_mul(Z_ROT, Z_ROT.transpose()) == IntMatrix.diagonal([25, 25])
+        assert mat_mul(Z_ROT, Z_ROT.transpose()) == diagonal_matrix((25, 25), 2, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cslindex.isometry import random_isometry
 from cslindex.matrices import IntMatrix, det, gcd_entries, mat_mul, minors_gcd
 from cslindex.normalform import (
     _smith_diagonal_mod,
+    _xgcd,
     hermite_normal_form,
-    hnf_lattice_contains,
-    invariant_factors,
     smith_normal_form,
 )
+from support import diagonal_matrix, hnf_lattice_contains
 
 
 def matrices(max_dim=4, lo=-9, hi=9, dims=None):
@@ -32,7 +33,7 @@ def check_decomposition(a):
     dec = smith_normal_form(a)
     assert abs(det(dec.p)) == 1
     assert abs(det(dec.q_right)) == 1
-    assert mat_mul(mat_mul(dec.p, a), dec.q_right) == dec.diagonal_matrix(a.rows, a.cols)
+    assert mat_mul(mat_mul(dec.p, a), dec.q_right) == diagonal_matrix(dec.d, a.rows, a.cols)
     for x, y in zip(dec.d, dec.d[1:]):
         assert x >= 0
         assert y % x == 0 if x else y == 0
@@ -41,38 +42,38 @@ def check_decomposition(a):
 
 class TestSmithNormalForm:
     def test_already_diagonal(self):
-        assert invariant_factors(IntMatrix.diagonal([2, 6])) == (2, 6)
+        assert smith_normal_form(diagonal_matrix((2, 6), 2, 2)).d == (2, 6)
 
     def test_rotation_numerator(self):
-        assert invariant_factors(IntMatrix.from_rows([[3, -4], [4, 3]])) == (1, 25)
+        assert smith_normal_form(IntMatrix.from_rows([[3, -4], [4, 3]])).d == (1, 25)
 
     def test_reflection_numerator(self):
         # 3I - 2vv^T for v = (1,1,1)
         t = IntMatrix.from_rows([[1, -2, -2], [-2, 1, -2], [-2, -2, 1]])
-        assert invariant_factors(t) == (1, 3, 9)
+        assert smith_normal_form(t).d == (1, 3, 9)
 
     def test_identity(self):
-        assert invariant_factors(IntMatrix.identity(5)) == (1, 1, 1, 1, 1)
+        assert smith_normal_form(IntMatrix.identity(5)).d == (1, 1, 1, 1, 1)
 
     def test_reorders_to_divisibility_chain(self):
-        assert invariant_factors(IntMatrix.diagonal([4, 2])) == (2, 4)
+        assert smith_normal_form(diagonal_matrix((4, 2), 2, 2)).d == (2, 4)
 
     def test_double_rotation_fixture(self):
         z = IntMatrix.from_rows(
             [[3, -4, 0, 0], [4, 3, 0, 0], [0, 0, 3, -4], [0, 0, 4, 3]]
         )
-        d = invariant_factors(z)
+        d = smith_normal_form(z).d
         assert d == (1, 1, 25, 25)
         # cross-check each partial product against direct minor enumeration
         for i in range(1, 5):
             assert math.prod(d[:i]) == minors_gcd(z, i)
 
     def test_zero_matrix(self):
-        assert invariant_factors(IntMatrix.from_rows([[0, 0], [0, 0]])) == (0, 0)
+        assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])).d == (0, 0)
 
     def test_first_factor_is_entry_gcd(self):
         a = IntMatrix.from_rows([[6, 12], [18, 30]])
-        assert invariant_factors(a)[0] == gcd_entries(a)
+        assert smith_normal_form(a).d[0] == gcd_entries(a)
 
     def test_repeated_runs_agree(self):
         a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -106,6 +107,22 @@ class TestSmithNormalForm:
         assert _smith_diagonal_mod(a, c * abs(det(a))) == smith_normal_form(a).d
 
 
+class TestEliminationSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40))
+    def test_xgcd_is_a_bezout_identity(self, a, b):
+        g, s, t = _xgcd(a, b)
+        assert g == math.gcd(a, b) == s * a + t * b
+
+    def test_diagonal_ends_when_the_pivot_divides_an_entry(self):
+        # q = 2: every pivot divides the entries beside it.  An extended-gcd step
+        # on such a pair, like xgcd(2, 2) = (2, 0, 1), swaps the two rows, and an
+        # elimination that repeats such steps never ends here
+        y = random_isometry(5, 2, 1, 80)
+        assert y.q == 2
+        assert _smith_diagonal_mod(y.z, y.q * y.q) == smith_normal_form(y.z).d
+
+
 class TestHermiteNormalForm:
     def test_identity(self):
         assert hermite_normal_form(IntMatrix.identity(3)) == IntMatrix.identity(3)
@@ -116,7 +133,7 @@ class TestHermiteNormalForm:
 
     def test_scaled_identity(self):
         h = hermite_normal_form(IntMatrix.from_rows([[5, 0], [0, 5], [5, 5]]))
-        assert h == IntMatrix.diagonal([5, 5])
+        assert h == diagonal_matrix((5, 5), 2, 2)
 
     def test_idempotent(self):
         a = IntMatrix.from_rows([[4, 7, 2], [0, 3, 1], [0, 0, 8], [12, 5, 9]])

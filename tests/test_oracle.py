@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from cslindex.isometry import (
     reflection,
 )
 from cslindex.matrices import IntMatrix, RatMatrix, mat_mul
-from cslindex.normalform import hermite_normal_form, hnf_lattice_contains
+from cslindex.normalform import hermite_normal_form
 from cslindex.oracle import (
     CapExceeded,
     index_by_counting,
@@ -26,6 +27,7 @@ from cslindex.oracle import (
     intersection_hnf,
     residue_image_size,
 )
+from support import hnf_lattice_contains
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -148,6 +150,48 @@ class TestIntersectionHnf:
         assert hermite_normal_form(result.basis) == result.basis
         solutions = sum(1 for w in itertools.product(range(y.q), repeat=n) if solves(w))
         assert result.index * solutions == y.q**n
+
+
+def unreduced_intersection_basis(y):
+    """Right block of the last n rows of the Hermite form of [[Z, I], [q I, 0]], with no reduction mod q."""
+    n = y.n
+    stacked = [list(y.z.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    stacked += [[y.q * int(i == j) for j in range(2 * n)] for i in range(n)]
+    h = hermite_normal_form(IntMatrix.from_rows(stacked))
+    return IntMatrix.from_rows(h.row(i)[n:] for i in range(n, 2 * n))
+
+
+@st.composite
+def isometries(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(0, n))
+    bound = draw(st.integers(1, 8))
+    return random_isometry(n, k, bound, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestHermiteModQ:
+    def check(self, y):
+        result = intersection_hnf(y)
+        assert result.basis == unreduced_intersection_basis(y)
+        assert result.index == math.prod(result.basis.at(i, i) for i in range(y.n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(isometries())
+    def test_matches_unreduced_hermite_form(self, y):
+        self.check(y)
+
+    @pytest.mark.parametrize("n, seed", [(20, 2020), (32, 3232)])
+    def test_matches_unreduced_hermite_form_large(self, n, seed):
+        self.check(random_isometry(n, n, 8, seed))
+
+    @pytest.mark.parametrize("args, q", [((8, 2, 4, 83), 1210), ((4, 1, 3, 6), 15)])
+    def test_rejoined_row_is_the_folded_row(self, args, q):
+        # rejoining (q / p) times the pivot row instead of (q / p) r gives a wrong
+        # basis on both draws: the first with Euclid's Bezout coefficients, the
+        # second with those of normalform._xgcd
+        y = random_isometry(*args)
+        assert y.q == q
+        self.check(y)
 
 
 class TestOracleAgreement:
