@@ -105,6 +105,8 @@ def _cmd_index(args) -> int:
     if (args.matrix is None) == (args.reflect is None):
         raise InputError("index needs exactly one of --matrix or --reflect")
     if args.reflect is not None:
+        if args.method is not None:
+            raise InputError("--method applies to --matrix only")
         report = index_reflection(_parse_vector(args.reflect))
         _emit(
             args,
@@ -114,7 +116,7 @@ def _cmd_index(args) -> int:
         return 0
     y = _read_isometry(args.matrix)
     methods = {"fortes": index_fortes, "closed": index_closed_form}
-    wanted = list(methods) if args.method == "all" else [args.method]
+    wanted = list(methods) if args.method in (None, "all") else [args.method]
     lines = []
     payload = {}
     for name in wanted:
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("index", _cmd_index, "compute Sigma by formula")
     p.add_argument("--matrix", help="rational matrix file")
     p.add_argument("--reflect", help="axis vector, e.g. 1,1,1")
-    p.add_argument("--method", choices=["fortes", "closed", "all"], default="all")
+    p.add_argument("--method", choices=["fortes", "closed", "all"])  # --matrix only; all by default
 
     p = add("snf", _cmd_snf, "Smith normal form with transforms")
     p.add_argument("matrix", help="integer matrix file")

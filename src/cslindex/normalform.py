@@ -1,14 +1,22 @@
 """Smith and Hermite normal forms over the integers.
 
-Both public algorithms use elementary (unimodular) row/column operations
-only.  Only `smith_normal_form` records its transforms P and Q, as exact
-witnesses of the reduction; `hermite_normal_form` returns the canonical basis
-alone.  Two private routines serve lattices that contain a known multiple N
-of Z^n: `_smith_diagonal_mod` (the Smith diagonal, when N is a multiple of the
-last invariant factor) and `_hermite_tail_mod` (the tail of a Hermite form of
-rows plus N Z^cols).  Both keep every entry mod N and clear an entry with one
-extended-gcd step (`_xgcd`), or by subtracting a multiple of the pivot's row
-when the pivot divides it, so no coefficient outgrows N.
+Both public algorithms use elementary (unimodular) row operations only, on
+A or on its transpose, and share one routine, `_echelon`: it inserts rows
+one at a time into a row echelon form that it keeps reduced (Kannan &
+Bachem 1979), and applies every step to a companion block after the
+matrix.  `hermite_normal_form` passes no companion and returns the
+canonical basis alone.  `smith_normal_form` alternates Hermite forms of A
+and of its transpose, with P and Q as companions, until A is diagonal;
+since every form is reduced, P and Q stay small.  Its P and Q are one valid
+pair among many, and they changed when this algorithm replaced pivot
+elimination without reduction; d is canonical and did not change.
+
+Two private routines serve lattices that contain a known multiple N of
+Z^n: `_smith_diagonal_mod` (the Smith diagonal, when N is a multiple of the
+last invariant factor) and `_hermite_tail_mod` (the tail of a Hermite form
+of rows plus N Z^cols).  Both keep every entry mod N.  All of them clear an
+entry with one extended-gcd step (`_xgcd`), or by subtracting a multiple of
+the pivot's row when the pivot divides it.
 """
 
 from __future__ import annotations
@@ -28,112 +36,121 @@ class SmithDecomposition:
     d: tuple[int, ...]
 
 
-def _swap_rows(m: list[list[int]], i: int, k: int) -> None:
-    m[i], m[k] = m[k], m[i]
+def _reduce(row: list[int], by: list[int], j: int) -> None:
+    """Bring row[j] into [0, by[j]) by subtracting a multiple of by, which is zero before j."""
+    c = row[j] // by[j]
+    if c:
+        row[j:] = [e - c * f for e, f in zip(row[j:], by[j:])]
 
 
-def _add_row(m: list[list[int]], i: int, k: int, c: int) -> None:
-    """row_i += c * row_k"""
-    ri, rk = m[i], m[k]
-    for j in range(len(ri)):
-        ri[j] += c * rk[j]
+def _echelon(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Row echelon form of rows, pivots in the first width entries, zero rows last.
+
+    Every step is unimodular and acts on whole rows, so entries after width
+    (a companion block, such as an identity) record the transform.  Rows are
+    inserted one at a time into an echelon with positive pivots (Kannan &
+    Bachem 1979).  A new row is folded into each pivot row it meets: by
+    subtracting a multiple of that row when its pivot divides the entry,
+    else by one extended-gcd step, which lowers the pivot to the gcd of the
+    two.  A new or changed pivot row is reduced by the rows below it, and
+    the rows above are reduced by it, so entries stay near the size of the
+    pivots; without these reductions they grow with every fold.  The form
+    is canonical once each row is also reduced by every row below it.
+    The rows are modified in place.
+    """
+    basis: list[list[int]] = []  # nonzero rows, by pivot column
+    pivots: list[int] = []
+    zero = []
+    for r in rows:
+        j = k = 0
+        while True:
+            while j < width and not r[j]:
+                j += 1
+            if j == width:
+                zero.append(r)
+                break
+            while k < len(pivots) and pivots[k] < j:
+                k += 1
+            if k == len(pivots) or pivots[k] > j:
+                if r[j] < 0:
+                    r[j:] = [-e for e in r[j:]]
+                basis.insert(k, r)
+                pivots.insert(k, j)
+            else:
+                e = basis[k]
+                x, y = e[j], r[j]
+                if y % x == 0:
+                    c = y // x
+                    r[j:] = [b - c * a for a, b in zip(e[j:], r[j:])]
+                    continue
+                g, s, t = _xgcd(x, y)
+                x, y = x // g, y // g
+                pairs = list(zip(e[j:], r[j:]))
+                e[j:] = [s * a + t * b for a, b in pairs]
+                r[j:] = [y * a - x * b for a, b in pairs]
+            # basis[k] is new or changed: reduce it by the rows below, and the rows above by it
+            row = basis[k]
+            for i in range(k + 1, len(basis)):
+                _reduce(row, basis[i], pivots[i])
+            for i in range(k):
+                _reduce(basis[i], row, j)
+            if row is r:
+                break
+    return basis + zero
 
 
-def _negate_row(m: list[list[int]], i: int) -> None:
-    m[i] = [-x for x in m[i]]
-
-
-def _swap_cols(m: list[list[int]], j: int, k: int) -> None:
-    for row in m:
-        row[j], row[k] = row[k], row[j]
-
-
-def _add_col(m: list[list[int]], j: int, k: int, c: int) -> None:
-    """col_j += c * col_k"""
-    for row in m:
-        row[j] += c * row[k]
+def _is_diagonal(a: list[list[int]]) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(a))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
-    Pivots are chosen as the smallest nonzero absolute value of the
-    remaining submatrix to keep coefficient growth in check.  Invariant
-    factors are normalized nonnegative, so the result is canonical.
+    Alternates a row Hermite form of A, with its steps applied to P, and a
+    row Hermite form of the transpose, with its steps applied to the
+    transpose of Q, until A is diagonal (Kannan & Bachem 1979).  Each form is
+    kept reduced as it is built, so the entries of A stay near the size of
+    its pivots, and P and Q stay small.  Then one 2x2 extended-gcd step per pair i < j whose d_i does not
+    divide d_j turns (d_i, d_j) into (gcd, lcm), which leaves a divisibility
+    chain.  Invariant factors are nonnegative, so d is canonical; P and Q
+    are not.
     """
     m, n = a.rows, a.cols
     A = a.to_rows()
-    P = IntMatrix.identity(m).to_rows()
-    Q = IntMatrix.identity(n).to_rows()
-    limit = min(m, n)
-
-    for t in range(limit):
-        # smallest nonzero |entry| of the remaining submatrix becomes the pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                e = row[j]
-                if e and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = (i, j)
-        if piv is None:
-            break  # remaining submatrix is zero; trailing factors stay 0
-        if piv[0] != t:
-            _swap_rows(A, t, piv[0])
-            _swap_rows(P, t, piv[0])
-        if piv[1] != t:
-            _swap_cols(A, t, piv[1])
-            _swap_cols(Q, t, piv[1])
-
-        while True:
-            # clear column t by row operations
-            for i in range(t + 1, m):
-                while A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        _add_row(A, i, t, -q)
-                        _add_row(P, i, t, -q)
-                    if A[i][t]:
-                        _swap_rows(A, t, i)
-                        _swap_rows(P, t, i)
-            # clear row t by column operations (may re-dirty column t via swaps)
-            for j in range(t + 1, n):
-                while A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        _add_col(A, j, t, -q)
-                        _add_col(Q, j, t, -q)
-                    if A[t][j]:
-                        _swap_cols(A, t, j)
-                        _swap_cols(Q, t, j)
-            if any(A[i][t] for i in range(t + 1, m)):
+    left = IntMatrix.identity(m).to_rows()  # P
+    right = IntMatrix.identity(n).to_rows()  # Q transposed
+    transposed = False  # A holds the transpose, and left and right are swapped
+    while True:
+        width = len(A[0])
+        rows = _echelon([x + c for x, c in zip(A, left)], width)
+        A = [r[:width] for r in rows]
+        left = [r[width:] for r in rows]
+        if _is_diagonal(A):
+            break
+        A = [list(col) for col in zip(*A)]
+        left, right = right, left
+        transposed = not transposed
+    if transposed:
+        left, right = right, left
+    d = [A[i][i] for i in range(min(m, n))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if y % x == 0 if x else not y:
                 continue
-            if any(A[t][j] for j in range(t + 1, n)):
-                continue
-            # enforce the divisibility chain before advancing
-            pivot = A[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = A[i]
-                for j in range(t + 1, n):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(A, t, offender, 1)
-            _add_row(P, t, offender, 1)
-
-        if A[t][t] < 0:
-            _negate_row(A, t)
-            _negate_row(P, t)
-
-    d = tuple(A[i][i] for i in range(limit))
-    return SmithDecomposition(IntMatrix.from_rows(P), IntMatrix.from_rows(Q), d)
+            g, s, t = _xgcd(x, y)
+            x, y = x // g, y // g
+            # [[s, t], [-y, x]] diag(d_i, d_j) [[1, -t y], [1, s x]] = diag(g, g x y)
+            pi, pj = left[i], left[j]
+            left[i] = [s * e + t * f for e, f in zip(pi, pj)]
+            left[j] = [x * f - y * e for e, f in zip(pi, pj)]
+            qi, qj = right[i], right[j]
+            right[i] = [e + f for e, f in zip(qi, qj)]
+            right[j] = [s * x * f - t * y * e for e, f in zip(qi, qj)]
+            d[i], d[j] = g, g * x * y
+    p = IntMatrix(m, m, tuple(x for row in left for x in row))
+    q_right = IntMatrix(n, n, tuple(x for col in zip(*right) for x in col))
+    return SmithDecomposition(p, q_right, tuple(d))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -271,43 +288,6 @@ def _hermite_tail_mod(a: IntMatrix, modulus: int, lead: int) -> IntMatrix:
     return IntMatrix(k, k, tuple(x for row in kept for x in row))
 
 
-def _row_echelon(a: IntMatrix):
-    """Integer row echelon form via unimodular row ops.
-
-    Returns (reduced rows, rank).  Pivots are positive and entries above
-    each pivot are reduced into [0, pivot).
-    """
-    m, n = a.rows, a.cols
-    A = a.to_rows()
-    r = 0
-    for j in range(n):
-        while True:
-            nz = [i for i in range(r, m) if A[i][j]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(A[i][j]))
-            if i0 != r:
-                _swap_rows(A, r, i0)
-            done = True
-            for i in range(r + 1, m):
-                if A[i][j]:
-                    q = A[i][j] // A[r][j]
-                    _add_row(A, i, r, -q)
-                    if A[i][j]:
-                        done = False
-            if done:
-                break
-        if r < m and A[r][j]:
-            if A[r][j] < 0:
-                _negate_row(A, r)
-            for i in range(r):
-                q = A[i][j] // A[r][j]
-                if q:
-                    _add_row(A, i, r, -q)
-            r += 1
-    return A, r
-
-
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     """Canonical row-style Hermite normal form of a full-column-rank matrix.
 
@@ -316,7 +296,12 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     """
     if a.rows < a.cols:
         raise ValueError("hermite_normal_form expects rows >= cols")
-    A, rank = _row_echelon(a)
+    rows = _echelon(a.to_rows(), a.cols)
+    rank = sum(1 for r in rows if any(r))
     if rank < a.cols:
         raise ValueError(f"rank-deficient input: rank {rank} < {a.cols} columns")
-    return IntMatrix.from_rows(A[:rank])
+    # each row ends reduced by every row below it, taken in increasing order
+    for i in range(rank):
+        for k in range(i + 1, rank):
+            _reduce(rows[i], rows[k], k)
+    return IntMatrix.from_rows(rows[:rank])

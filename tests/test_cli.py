@@ -4,8 +4,10 @@ import pytest
 
 from cslindex import indices, isometry, spectrum
 from cslindex.cli import main
+from cslindex.matrices import IntMatrix, det, mat_mul, parse_int_matrix
 from cslindex.normalform import _smith_diagonal_mod
 from cslindex.oracle import IntersectionBasis
+from support import diagonal_matrix
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
@@ -52,6 +54,21 @@ class TestIndex:
         code, _, err = run(capsys, "index")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("method", ["fortes", "closed", "all"])
+    def test_method_with_reflect_rejected(self, capsys, method):
+        # --method picks a formula for --matrix; the reflection rule takes none
+        code, out, err = run(capsys, "index", "--reflect", "1,1,1", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "--method" in err
+
+    def test_matrix_defaults_to_all_methods(self, capsys, tmp_path):
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        _, default, _ = run(capsys, "index", "--matrix", str(f))
+        _, explicit, _ = run(capsys, "index", "--matrix", str(f), "--method", "all")
+        assert default == explicit
 
 
 class TestVerify:
@@ -139,6 +156,34 @@ class TestSnf:
         payload = json.loads(out)
         assert payload["d"] == [1, 25]
         assert len(payload["p"]) == 2 and len(payload["q"]) == 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 4, 4, 1], [-6, 6, 12, 0], [10, 4, 16, 3]],  # wide
+            [[2, 4], [-6, 6], [10, 4], [7, -3]],  # tall
+            [[1, 2, 3], [2, 4, 6], [3, 6, 9]],  # rank 1
+            [[0, 0, 0], [0, 0, 0]],  # rank 0
+        ],
+    )
+    def test_transforms(self, capsys, tmp_path, rows):
+        m, n = len(rows), len(rows[0])
+        f = tmp_path / "a.txt"
+        f.write_text(f"{m} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, _ = run(capsys, "snf", str(f), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        p, q, d = (IntMatrix.from_rows(payload["p"]), IntMatrix.from_rows(payload["q"]), payload["d"])
+        assert mat_mul(mat_mul(p, IntMatrix.from_rows(rows)), q) == diagonal_matrix(d, m, n)
+        assert abs(det(p)) == abs(det(q)) == 1
+        # the plain output carries the same numbers: d, then P and Q as matrix text
+        code, out, _ = run(capsys, "snf", str(f))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "d " + " ".join(map(str, d))
+        assert lines[1] == "P" and lines[m + 3] == "Q"
+        assert parse_int_matrix("\n".join(lines[2 : m + 3])) == p
+        assert parse_int_matrix("\n".join(lines[m + 4 :])) == q
 
 
 class TestReflectCompose:

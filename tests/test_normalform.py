@@ -12,6 +12,7 @@ from cslindex.normalform import (
     hermite_normal_form,
     smith_normal_form,
 )
+from cslindex.rng import Lcg
 from support import diagonal_matrix, hnf_lattice_contains
 
 
@@ -41,8 +42,20 @@ def check_decomposition(a):
 
 
 class TestSmithNormalForm:
+    @pytest.mark.parametrize(
+        "a, d",
+        [
+            (IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]), (0, 0)),
+            (IntMatrix.from_rows([[6, -4, 10]]), (2,)),
+            (IntMatrix.from_rows([[6], [-4], [10]]), (2,)),
+            (IntMatrix.from_rows([[0], [0], [-3]]), (3,)),
+        ],
+    )
+    def test_degenerate_shapes(self, a, d):
+        assert check_decomposition(a).d == d
+
     def test_already_diagonal(self):
-        assert smith_normal_form(diagonal_matrix((2, 6), 2, 2)).d == (2, 6)
+        assert check_decomposition(diagonal_matrix((2, 6), 2, 2)).d == (2, 6)
 
     def test_rotation_numerator(self):
         assert smith_normal_form(IntMatrix.from_rows([[3, -4], [4, 3]])).d == (1, 25)
@@ -56,7 +69,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix.identity(5)).d == (1, 1, 1, 1, 1)
 
     def test_reorders_to_divisibility_chain(self):
-        assert smith_normal_form(diagonal_matrix((4, 2), 2, 2)).d == (2, 4)
+        assert check_decomposition(diagonal_matrix((4, 2), 2, 2)).d == (2, 4)
 
     def test_double_rotation_fixture(self):
         z = IntMatrix.from_rows(
@@ -69,7 +82,7 @@ class TestSmithNormalForm:
             assert math.prod(d[:i]) == minors_gcd(z, i)
 
     def test_zero_matrix(self):
-        assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])).d == (0, 0)
+        assert check_decomposition(IntMatrix.from_rows([[0, 0], [0, 0]])).d == (0, 0)
 
     def test_first_factor_is_entry_gcd(self):
         a = IntMatrix.from_rows([[6, 12], [18, 30]])
@@ -97,6 +110,33 @@ class TestSmithNormalForm:
 
     @settings(max_examples=150, deadline=None)
     @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.one_of(
+                matrices(dims=st.tuples(st.just(n), st.integers(n, 8))),  # square or wide
+                matrices(dims=st.tuples(st.integers(n, 8), st.just(n))),  # tall
+            )
+        ),
+        st.integers(0, 7),
+    )
+    def test_transforms_of_wide_tall_and_deficient_matrices(self, a, repeats):
+        # the first row in place of the last `repeats` rows lowers the rank
+        repeats = min(repeats, a.rows - 1)
+        rows = a.to_rows()
+        check_decomposition(IntMatrix.from_rows(rows[: a.rows - repeats] + [rows[0]] * repeats))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 14), st.integers(0, 14), st.integers(1, 6), st.integers(0, 10**6))
+    def test_transforms_of_isometry_numerators(self, n, k, bound, seed):
+        y = random_isometry(n, min(k, n), bound, seed)
+        assert check_decomposition(y.z).d == y.invariant_factors
+
+    def test_transforms_stay_small(self):
+        # pivot elimination without reduction gave P and Q entries of 82,095 bits here
+        dec = check_decomposition(random_isometry(13, 6, 4, 47).z)
+        assert max(abs(x).bit_length() for m in (dec.p, dec.q_right) for x in m.entries) < 1000
+
+    @settings(max_examples=150, deadline=None)
+    @given(
         st.integers(1, 5)
         .flatmap(lambda n: matrices(dims=st.just((n, n))))
         .filter(lambda a: det(a) != 0),
@@ -105,6 +145,26 @@ class TestSmithNormalForm:
     def test_diagonal_mod_a_multiple_of_the_determinant(self, a, c):
         # the last invariant factor divides |det a|, so any multiple of it is a valid modulus
         assert _smith_diagonal_mod(a, c * abs(det(a))) == smith_normal_form(a).d
+
+
+class TestExternalReference:
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = Lcg(2024)
+        inputs = [random_isometry(n, n // 2, 4, 500 + n).z for n in range(2, 11)]
+        for _ in range(60):
+            m, n = rng.integer(1, 8), rng.integer(1, 8)
+            a = IntMatrix.from_rows([[rng.integer(-9, 9) for _ in range(n)] for _ in range(m)])
+            if rng.integer(0, 1) and min(m, n) > 1:
+                # a product through k < min(m, n) dimensions has rank at most k
+                k = rng.integer(1, min(m, n) - 1)
+                a = mat_mul(a.submatrix(range(m), range(k)), a.submatrix(range(k), range(n)))
+            inputs.append(a)
+        for a in inputs:
+            want = invariant_factors(sympy.Matrix(a.to_rows()), domain=sympy.ZZ)
+            assert smith_normal_form(a).d == tuple(int(x) for x in want)
 
 
 class TestEliminationSteps:
