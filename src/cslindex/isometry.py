@@ -3,6 +3,12 @@
 A coincidence isometry of the hypercubic lattice is exactly a rational
 orthogonal matrix Y, stored in the canonical form Y = (1/q) Z with Z
 integral, gcd of the entries of Z equal to 1 and q > 0.
+
+Every RationalIsometry decides Z^T Z = q^2 I exactly, by one of two routes.
+A reflection has Z = qI - r v v^T with v primitive; that shape is found and
+confirmed in O(n^2), and then Z^T Z = q^2 I is equivalent to r v^T v = 2q.
+Every other matrix gets a Gram check with one packed integer per row
+(Kronecker substitution).  `compose` multiplies by a reflection in O(n^2).
 """
 
 from __future__ import annotations
@@ -38,12 +44,59 @@ class RationalIsometry:
             raise ValueError("z must be an n x n matrix")
         if gcd_entries(self.z) != 1:
             raise ValueError("entries of z must have gcd 1")
+        rank_one = self._rank_one
+        if rank_one is None or rank_one[1] * sum(x * x for x in rank_one[0]) != 2 * self.q:
+            self._check_gram()
+
+    @cached_property
+    def _rank_one(self) -> tuple[tuple[int, ...], int] | None:
+        """(v, r) with v primitive and qI - z == r v v^T, or None when z has no such shape.
+
+        Then z^T z = q^2 I + (r v^T v - 2q)(qI - z), so z is orthogonal exactly
+        when r v^T v == 2q, and z / q is the reflection along v.  With u the
+        row k of qI - z that has p = u_k != 0, the shape means p (qI - z) = u u^T;
+        then p divides gcd(u)^2 = c^2, v = u / c and r = c^2 / p.
+        """
+        q, z = self.q, self.z
+        k = next((i for i in range(self.n) if z.at(i, i) != q), None)
+        if k is None:
+            return None
+        u = [-x for x in z.row(k)]
+        u[k] += q
+        c = math.gcd(*u)
+        r, rem = divmod(c * c, u[k])
+        if rem:
+            return None
+        v = tuple(x // c for x in u)
+        for i, vi in enumerate(v):
+            # row i of z must be q e_i - (r v_i) v
+            expected = list(map((-r * vi).__mul__, v))
+            expected[i] += q
+            if tuple(expected) != z.row(i):
+                return None
+        return v, r
+
+    def _check_gram(self) -> None:
+        """Decide z^T z == q^2 I with one packed integer per row of z.
+
+        Row k packs to P_k = sum_j z_kj 2^(js); column i of z then gives
+        sum_k z_ki P_k = sum_j (z^T z)_ij 2^(js), which must equal q^2 2^(is).
+        Every digit is below n max|z|^2 or q^2 in size, so with s two bits
+        wider than both the balanced base-2^s digits are unique and the
+        comparison is exact.  Z^T Z is symmetric and columns j < i passed, so
+        a mismatch in column i lies at some j >= i: that pair is the first
+        failure in row-major order over i <= j, and it is the one reported.
+        """
+        n, z = self.n, self.z
         qsq = self.q * self.q
-        cols = self.z.columns()
-        # Z^T Z is symmetric, so its entries with i <= j cover all of it, and the
-        # first failure in row-major order always has i <= j
+        s = max(n * max(map(abs, z.entries)) ** 2, qsq).bit_length() + 2
+        shifts = range(0, n * s, s)
+        packed = [sum(map(operator.lshift, z.row(k), shifts)) for k in range(n)]
+        cols = z.columns()
         for i, ci in enumerate(cols):
-            for j in range(i, self.n):
+            if sum(map(operator.mul, ci, packed)) == qsq << (i * s):
+                continue
+            for j in range(i, n):
                 expected = qsq if i == j else 0
                 got = sum(map(operator.mul, ci, cols[j]))
                 if got != expected:
@@ -138,25 +191,32 @@ def reflection(v) -> RationalIsometry:
     """
     axis = v if isinstance(v, ReflectionAxis) else ReflectionAxis.from_coords(v)
     a = axis.coords
-    n = axis.dimension
     w = axis.norm_sq
-    t = IntMatrix(
-        n,
-        n,
-        tuple(
-            (w if i == j else 0) - 2 * a[i] * a[j] for i in range(n) for j in range(n)
-        ),
-    )
-    if w % 2 == 0:
-        return RationalIsometry(n, w // 2, t.exact_div(2))
-    return RationalIsometry(n, w, t)
+    # (q, h) = (w, 2) or (w/2, 1): the numerator is q I - h v v^T
+    q, h = (w, 2) if w % 2 else (w // 2, 1)
+    entries: list[int] = []
+    for i, ai in enumerate(a):
+        row = list(map((-h * ai).__mul__, a))
+        row[i] += q
+        entries.extend(row)
+    return RationalIsometry(len(a), q, IntMatrix(len(a), len(a), tuple(entries)))
 
 
 def compose(a: RationalIsometry, b: RationalIsometry) -> RationalIsometry:
     """Canonical form of the product a * b."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    return _canonical(a.q * b.q, mat_mul(a.z, b.z))
+    rank_one = b._rank_one
+    if rank_one is None:
+        return _canonical(a.q * b.q, mat_mul(a.z, b.z))
+    # a.z (q I - r v v^T) = q a.z - r (a.z v) v^T, exact and O(n^2)
+    v, r = rank_one
+    product = []
+    for i in range(a.n):
+        row = a.z.row(i)
+        t = r * sum(map(operator.mul, row, v))
+        product.extend(map(operator.sub, map(b.q.__mul__, row), map(t.__mul__, v)))
+    return _canonical(a.q * b.q, IntMatrix(a.n, a.n, tuple(product)))
 
 
 def transpose_inverse(a: RationalIsometry) -> RationalIsometry:

@@ -1,6 +1,29 @@
 """Helpers that only the tests need."""
 
+import operator
+from fractions import Fraction
+
+from cslindex.isometry import NotOrthogonal
 from cslindex.matrices import IntMatrix
+
+
+def check_gram_reference(q: int, z: IntMatrix) -> None:
+    """Reference orthogonality check: every inner product of columns of z, one by one.
+
+    Raises NotOrthogonal naming the first pair (i, j), i <= j in row-major
+    order, whose inner product is not q^2 [i == j].
+    """
+    qsq = q * q
+    cols = z.columns()
+    for i, ci in enumerate(cols):
+        for j in range(i, z.cols):
+            expected = qsq if i == j else 0
+            got = sum(map(operator.mul, ci, cols[j]))
+            if got != expected:
+                raise NotOrthogonal(
+                    f"columns {i} and {j} have inner product "
+                    f"{Fraction(got, qsq)}, expected {0 if i != j else 1}"
+                )
 
 
 def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:

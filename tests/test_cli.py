@@ -208,6 +208,11 @@ class TestSpectrum:
         sigmas = [int(line.split("\t")[0]) for line in out.splitlines()]
         assert sigmas == [1, 3, 5, 7, 9]
 
+    def test_large_dimension_json(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--dim", "400", "--max", "2", "--json")
+        assert code == 0
+        assert json.loads(out) == {"1": [1] + [0] * 399, "2": [1, 1, 1, 1] + [0] * 396}
+
 
 class TestDecompose:
     def test_odd(self, capsys):

@@ -1,4 +1,6 @@
 import math
+from collections import defaultdict
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from cslindex.isometry import (
 )
 from cslindex.matrices import IntMatrix, RatMatrix
 from cslindex.normalform import smith_normal_form
-from cslindex.oracle import index_by_hnf
+from cslindex.oracle import index_by_counting, index_by_hnf
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -217,3 +219,163 @@ class TestIsometryProperties:
         assert (s1 * s2) % s12 == 0
         if math.gcd(s1, s2) == 1:
             assert s12 == s1 * s2
+
+
+def oracle_sigmas(y):
+    """Sigma by index_fortes and both oracles.
+
+    Subgroup closure visits Sigma residues, so the counting oracle runs with
+    its cap lifted to q^n whenever Sigma is small, even where q^n is large.
+    """
+    sigma = index_fortes(y).sigma
+    sigmas = {sigma, index_by_hnf(y).sigma}
+    if sigma <= 4096:
+        sigmas.add(index_by_counting(y, y.q**y.n).sigma)
+    return sigmas
+
+
+def all_sigmas(y):
+    return oracle_sigmas(y) | {index_closed_form(y).sigma}
+
+
+def odd_part(m):
+    while m % 2 == 0:
+        m //= 2
+    return m
+
+
+def quaternion_product(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def quaternion_norm(p):
+    return sum(x * x for x in p)
+
+
+def primitive_quaternions(bound):
+    return [p for p in product(range(-bound, bound + 1), repeat=4) if math.gcd(*p) == 1]
+
+
+def squarefree_part(m):
+    f = 2
+    while f * f <= m:
+        while m % (f * f) == 0:
+            m //= f * f
+        f += 1
+    return m
+
+
+# |p|^2 |q|^2 is a square exactly when both norms have the same squarefree part
+_SAME_SQUARE_CLASS = defaultdict(list)
+for _q in primitive_quaternions(2):
+    _SAME_SQUARE_CLASS[squarefree_part(quaternion_norm(_q))].append(_q)
+
+
+def rotation_3d(p):
+    """x -> p x conj(p) / |p|^2 on the pure quaternions."""
+    conj = (p[0], -p[1], -p[2], -p[3])
+    basis = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    images = [quaternion_product(quaternion_product(p, e), conj)[1:] for e in basis]
+    columns = IntMatrix.from_rows(images).transpose()
+    return from_rational_matrix(RatMatrix.make(columns, quaternion_norm(p)))
+
+
+def rotation_4d(p, q):
+    """x -> p x q / (|p| |q|) on all quaternions."""
+    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    images = [quaternion_product(quaternion_product(p, e), q) for e in basis]
+    columns = IntMatrix.from_rows(images).transpose()
+    return from_rational_matrix(
+        RatMatrix.make(columns, math.isqrt(quaternion_norm(p) * quaternion_norm(q)))
+    )
+
+
+class TestQuaternionAnchors:
+    """The general formulas against the known results for n = 3 and n = 4.
+
+    Grimmer 1974; Baake 1997, "Solution of the coincidence problem in
+    dimensions d <= 4".  Composing with the coordinate sign flip, a
+    reflection of index 1, must leave Sigma unchanged.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(primitive_quaternions(3)))
+    def test_three_dimensions_odd_part_of_norm(self, p):
+        y = rotation_3d(p)
+        expected = {odd_part(quaternion_norm(p))}
+        assert all_sigmas(y) == expected
+        assert all_sigmas(compose(y, reflection((1, 0, 0)))) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(primitive_quaternions(2)).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.sampled_from(_SAME_SQUARE_CLASS[squarefree_part(quaternion_norm(p))]),
+            )
+        )
+    )
+    def test_four_dimensions_odd_part_is_lcm(self, pq):
+        # the 2-part of Sigma is 1 or 2 here; its rule is not asserted
+        p, q = pq
+        y = rotation_4d(p, q)
+        sigmas = all_sigmas(y)
+        assert len(sigmas) == 1
+        sigma = sigmas.pop()
+        assert odd_part(sigma) == math.lcm(
+            odd_part(quaternion_norm(p)), odd_part(quaternion_norm(q))
+        )
+        assert all_sigmas(compose(y, reflection((1, 0, 0, 0)))) == {sigma}
+
+
+def direct_sum(y1, y2):
+    """Y1 on the first y1.n coordinates, Y2 on the rest."""
+    rows = [[y2.q * x for x in y1.z.row(i)] + [0] * y2.n for i in range(y1.n)]
+    rows += [[0] * y1.n + [y1.q * x for x in y2.z.row(i)] for i in range(y2.n)]
+    return from_rational_matrix(RatMatrix.make(IntMatrix.from_rows(rows), y1.q * y2.q))
+
+
+@st.composite
+def summands(draw, n):
+    """A reflection or a short product of reflections in dimension n, small q."""
+    if n == 1 or draw(st.booleans()):
+        return reflection(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)))
+    return random_isometry(n, draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+
+
+def nontrivial_summands(n):
+    return summands(n).filter(lambda y: index_fortes(y).sigma > 1)
+
+
+class TestDirectSums:
+    """Sigma(Y1 + Y2) = Sigma(Y1) Sigma(Y2) for orthogonal direct sums, n <= 8.
+
+    Z^n meets (Y1 + Y2) Z^n in the direct sum of the two coincidence lattices.
+    A reflection plus the identity is a reflection again.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(summands(n), st.integers(1, 8 - n))))
+    def test_identity_summand(self, yk):
+        y, k = yk
+        assert oracle_sigmas(direct_sum(y, identity_isometry(k))) == {index_fortes(y).sigma}
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                nontrivial_summands(n), st.integers(2, 8 - n).flatmap(nontrivial_summands)
+            )
+        )
+    )
+    def test_product_of_sigmas(self, pair):
+        y1, y2 = pair
+        sigma = index_fortes(y1).sigma * index_fortes(y2).sigma
+        assert oracle_sigmas(direct_sum(y1, y2)) == {sigma}

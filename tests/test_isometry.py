@@ -2,9 +2,12 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cslindex.isometry import (
     NotOrthogonal,
+    RationalIsometry,
     ReflectionAxis,
     compose,
     from_rational_matrix,
@@ -15,6 +18,7 @@ from cslindex.isometry import (
     transpose_inverse,
 )
 from cslindex.matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul
+from support import check_gram_reference
 
 
 def canonical_primitive_axes(n, max_norm):
@@ -30,6 +34,141 @@ def canonical_primitive_axes(n, max_norm):
     for tup in rec(max_norm, n, math.isqrt(max_norm), ()):
         if any(tup) and math.gcd(*tup) == 1:
             yield tup
+
+
+def verdict(check):
+    """None when check() passes, the NotOrthogonal message when it raises."""
+    try:
+        check()
+    except NotOrthogonal as exc:
+        return str(exc)
+    return None
+
+
+def lowest_terms(q, entries, n):
+    """(q, z) with the common factor of q and the entries removed; z must have gcd 1."""
+    assume(any(entries))
+    g = math.gcd(q, *entries)
+    z = IntMatrix(n, n, tuple(x // g for x in entries))
+    assume(gcd_entries(z) == 1)
+    return q // g, z
+
+
+def perturbed(draw, q, z):
+    """z with one entry moved by 0, +-1 or +-q."""
+    entries = list(z.entries)
+    entries[draw(st.integers(0, len(entries) - 1))] += draw(st.sampled_from((0, 1, -1, q, -q)))
+    return lowest_terms(q, entries, z.rows)
+
+
+@st.composite
+def rank_one_matrices(draw):
+    """q I - u u^T / p, integral, with u^T u = 2 q p (a reflection) or with q drawn freely."""
+    n = draw(st.integers(1, 8))
+    u = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any))
+    c = math.gcd(*u)
+    w = sum(x * x for x in u)
+    # p (q I - z) = u u^T is integral exactly when p divides gcd(u)^2
+    divisors = [d for d in range(1, c * c + 1) if c * c % d == 0]
+    orthogonal = [d for d in divisors if w % (2 * d) == 0]
+    if orthogonal and draw(st.booleans()):
+        p = draw(st.sampled_from(orthogonal))
+        q = w // (2 * p)
+    else:
+        p = draw(st.sampled_from(divisors)) * draw(st.sampled_from((1, -1)))
+        q = draw(st.integers(1, 200))
+    entries = [(q if i == j else 0) - u[i] * u[j] // p for i in range(n) for j in range(n)]
+    return lowest_terms(q, entries, n)
+
+
+@st.composite
+def perturbed_reflections(draw):
+    n = draw(st.integers(2, 10))
+    r = reflection(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any)))
+    return perturbed(draw, r.q, r.z)
+
+
+@st.composite
+def perturbed_products(draw):
+    """Dense products of n reflections in dimension n <= 32; q reaches hundreds of bits."""
+    n = draw(st.sampled_from(range(2, 33)))  # uniform, so that n > 20 is common
+    y = random_isometry(n, n, 8, draw(st.integers(0, 2**32 - 1)))
+    return perturbed(draw, y.q, y.z)
+
+
+class TestOrthogonalityCheck:
+    """The exact check agrees with the column-by-column reference, message included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(rank_one_matrices())
+    def test_rank_one(self, qz):
+        q, z = qz
+        assert verdict(lambda: RationalIsometry(z.rows, q, z)) == verdict(
+            lambda: check_gram_reference(q, z)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_reflections())
+    def test_perturbed_reflection(self, qz):
+        q, z = qz
+        assert verdict(lambda: RationalIsometry(z.rows, q, z)) == verdict(
+            lambda: check_gram_reference(q, z)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(perturbed_products())
+    def test_perturbed_dense_product(self, qz):
+        q, z = qz
+        assert verdict(lambda: RationalIsometry(z.rows, q, z)) == verdict(
+            lambda: check_gram_reference(q, z)
+        )
+
+    def test_reflections_take_the_rank_one_route(self):
+        # q I - z = r v v^T with v the primitive axis: r = 2 for odd norms, 1 for even
+        assert reflection((1, 1, 1))._rank_one == ((1, 1, 1), 2)
+        assert reflection((1, 1, 1, 1))._rank_one == ((1, 1, 1, 1), 1)
+        assert reflection((0, -3, 0))._rank_one == ((0, 1, 0), 2)
+        assert reflection((2, -1))._rank_one == ((2, -1), 2)
+        assert identity_isometry(3)._rank_one is None
+        assert random_isometry(5, 5, 4, 7)._rank_one is None
+
+
+@st.composite
+def right_factors(draw, n):
+    """A reflection, the identity, or a product of two reflections, in dimension n."""
+    axes = st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any)
+    kind = draw(st.sampled_from(("reflection", "identity", "two reflections")))
+    if kind == "identity":
+        return identity_isometry(n)
+    if kind == "reflection":
+        return reflection(draw(axes))
+    return compose(reflection(draw(axes)), reflection(draw(axes)))
+
+
+class TestComposeMatchesProduct:
+    @staticmethod
+    def product(a, b):
+        return from_rational_matrix(RatMatrix.make(mat_mul(a.z, b.z), a.q * b.q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.builds(random_isometry, st.just(n), st.integers(0, 4), st.integers(1, 8), st.integers(0, 2**32 - 1)),
+                right_factors(n),
+            )
+        )
+    )
+    def test_canonical_product(self, pair):
+        a, b = pair
+        assert compose(a, b) == self.product(a, b)
+
+    @pytest.mark.parametrize("left", [1, -1])
+    def test_one_by_one(self, left):
+        a = RationalIsometry(1, 1, IntMatrix.from_rows([[left]]))
+        minus_one = RationalIsometry(1, 1, IntMatrix.from_rows([[-1]]))
+        assert compose(a, minus_one) == self.product(a, minus_one)
+        assert compose(a, minus_one).z == IntMatrix.from_rows([[-left]])
 
 
 class TestFromRationalMatrix:
@@ -68,6 +207,14 @@ class TestFromRationalMatrix:
         with pytest.raises(NotOrthogonal) as exc:
             from_rational_matrix(RatMatrix.make(z, 5))
         assert str(exc.value) == message
+
+    def test_first_pair_named_when_q_squared_is_wide(self):
+        # 63^2 = 1 - 2 * 64 + 64^2: packed in base 64, the width that fits every
+        # inner product (here at most 3 * 2^2), column 0 would look right
+        z = IntMatrix.from_rows(list(zip((1, 0, 0), (-2, 0, 0), (1, 0, 0))))
+        with pytest.raises(NotOrthogonal) as exc:
+            from_rational_matrix(RatMatrix.make(z, 63))
+        assert str(exc.value) == "columns 0 and 0 have inner product 1/3969, expected 1"
 
     def test_non_square(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from cslindex import spectrum
 from cslindex.indices import CoprimalityViolated, CrossCheckFailed
 from cslindex.oracle import index_by_counting
-from cslindex.isometry import reflection
+from cslindex.isometry import ReflectionAxis, reflection
 from cslindex.spectrum import (
     SquareWitness,
     WitnessNotFound,
@@ -130,6 +130,15 @@ class TestReflectionSpectrum:
             assert witness.sigma == sigma
             assert witness.dimension == 4
             assert len(witness.axes) == 1
+
+    def test_large_dimension(self):
+        # large enough that an O(n^3) orthogonality check per witness takes seconds
+        n = 400
+        table = reflection_spectrum(n, 2)
+        assert {s: w.axes for s, w in table.items()} == {
+            1: (ReflectionAxis((1,) + (0,) * (n - 1)),),
+            2: (ReflectionAxis((1, 1, 1, 1) + (0,) * (n - 4)),),
+        }
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
