@@ -123,8 +123,6 @@ def identity_isometry(n: int) -> RationalIsometry:
 
 
 def _canonical(q: int, z: IntMatrix) -> RationalIsometry:
-    if q < 0:
-        q, z = -q, z.scale(-1)
     g = math.gcd(q, gcd_entries(z))
     if g > 1:
         q //= g
@@ -133,10 +131,10 @@ def _canonical(q: int, z: IntMatrix) -> RationalIsometry:
 
 
 def from_rational_matrix(m: RatMatrix) -> RationalIsometry:
-    """Validate an exact rational matrix as an isometry and canonicalize it."""
+    """Validate an exact rational matrix, already in lowest terms, as an isometry."""
     if not m.numerator.is_square:
         raise ValueError("isometries must be square")
-    return _canonical(m.denominator, m.numerator)
+    return RationalIsometry(m.numerator.rows, m.denominator, m.numerator)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Which positive integers occur as coincidence indices, with witnesses.
 
-Constructive machinery: sums of three and four squares produce primitive
-reflection axes; reflections and coprime products of reflections then
-realize target indices.  Every witness is oracle-verified before it is
-returned.
+Constructive machinery: one walk over the vectors of a given norm yields the
+primitive reflection axes and the three-square decompositions; reflections
+and coprime products of reflections then realize target indices.  Every
+witness is oracle-verified, on the coordinates its axes use, when returned.
 """
 
 from __future__ import annotations
@@ -40,21 +40,16 @@ def is_three_square_excluded(m: int) -> bool:
 
 
 def three_square_decompose(m: int) -> SquareWitness | None:
-    """Write m = a^2 + b^2 + c^2 by bounded search, or None when impossible.
+    """Write m = a^2 + b^2 + c^2 with a >= b >= c >= 0 largest, or None when impossible.
 
     The search and the 4^a(8k+7) predicate must agree; a disagreement is an
     internal error.
     """
     if m < 1:
         raise ValueError("expected a positive integer")
-    for a in range(math.isqrt(m), -1, -1):
-        r1 = m - a * a
-        for b in range(min(a, math.isqrt(r1)), -1, -1):
-            c2 = r1 - b * b
-            c = math.isqrt(c2)
-            if c * c == c2 and c <= b:
-                squares = (a, b, c)
-                return SquareWitness(m, squares, math.gcd(*squares))
+    squares = next(vectors_with_norm(3, m), None)
+    if squares is not None:
+        return SquareWitness(m, squares, math.gcd(*squares))
     if not is_three_square_excluded(m):
         raise CrossCheckFailed(f"search found no representation of {m} but the form test allows one")
     return None
@@ -95,31 +90,37 @@ class IndexWitness:
     axes: tuple[ReflectionAxis, ...]
 
 
-def primitive_axes_with_norm(n: int, norm: int) -> Iterator[tuple[int, ...]]:
-    """Canonical (non-increasing, nonnegative) primitive vectors of a given norm.
+def vectors_with_norm(n: int, norm: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing nonnegative vectors with n coordinates and a given norm.
 
-    Depth-first in descending lexicographic order.  The stack is explicit, so
-    the dimension is not bounded by the recursion limit.
+    Depth-first in descending lexicographic order, with an explicit stack, so
+    n is not bounded by the recursion limit.  A slot ends at the first value
+    too small for the later coordinates, each at most that value, to make up
+    the rest, and the last coordinate is one isqrt of what is left.
     """
-    if n < 1:
+    last = n - 1
+    if last < 1:
+        c = math.isqrt(norm)
+        if last == 0 and c * c == norm:
+            yield (c,)
         return
-    prefix: list[int] = []
-    stack = [(norm, iter(range(math.isqrt(norm), -1, -1)))]  # per slot: norm left, values to try
-    while stack:
-        left, values = stack[-1]
-        a = next(values, None)
-        if a is None:
-            stack.pop()
+    vec = [0] * n
+    left, top = [norm] * last, [math.isqrt(norm)] * last  # per slot: norm left, next value to try
+    k = 0
+    while k >= 0:
+        a = top[k]
+        rest = left[k] - a * a
+        if a < 0 or rest > (last - k) * a * a:  # then so is every smaller value
+            k -= 1
             continue
-        del prefix[len(stack) - 1 :]
-        prefix.append(a)
-        remaining = left - a * a
-        slots = n - len(stack)
-        if slots == 0:
-            if remaining == 0 and math.gcd(*prefix) == 1:
-                yield tuple(prefix)
-        elif remaining <= slots * a * a:  # later coordinates are at most a
-            stack.append((remaining, iter(range(min(a, math.isqrt(remaining)), -1, -1))))
+        top[k] = a - 1
+        vec[k] = a
+        if k + 1 < last:
+            k += 1
+            left[k], top[k] = rest, min(a, math.isqrt(rest))
+        elif (c := math.isqrt(rest)) * c == rest:  # the last coordinate, at most a by the slot bound
+            vec[last] = c
+            yield tuple(vec)
 
 
 def reflection_witness_axis(n: int, sigma: int) -> ReflectionAxis | None:
@@ -128,20 +129,21 @@ def reflection_witness_axis(n: int, sigma: int) -> ReflectionAxis | None:
     The two shells are exhausted, so None is conclusive: no single
     reflection in dimension n has index sigma.
     """
-    for norm in (sigma, 2 * sigma):
-        expected = norm // 2 if norm % 2 == 0 else norm
-        if expected != sigma:
-            continue
-        for coords in primitive_axes_with_norm(n, norm):
-            return ReflectionAxis(coords)
+    for norm in (sigma, 2 * sigma) if sigma % 2 else (2 * sigma,):  # index w if w is odd, w/2 if even
+        for coords in vectors_with_norm(n, norm):
+            if math.gcd(*coords) == 1:
+                return ReflectionAxis(coords)
     return None
 
 
 def _verified_witness(
     n: int, sigma: int, axes: tuple[ReflectionAxis, ...]
 ) -> IndexWitness:
-    iso = reflection(axes[0]) if axes else identity_isometry(n)
-    for axis in axes[1:]:
+    # on the coordinates S the axes use; outside S the product is I, so Sigma(Y) = Sigma(Y_S)
+    support = sorted({i for axis in axes for i, c in enumerate(axis.coords) if c})
+    on_support = [ReflectionAxis(tuple(axis.coords[i] for i in support)) for axis in axes]
+    iso = reflection(on_support[0]) if axes else identity_isometry(1)
+    for axis in on_support[1:]:
         iso = compose(iso, reflection(axis))
     got = intersection_hnf(iso).index
     if got != sigma:

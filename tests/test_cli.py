@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -212,6 +213,15 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--dim", "400", "--max", "2", "--json")
         assert code == 0
         assert json.loads(out) == {"1": [1] + [0] * 399, "2": [1, 1, 1, 1] + [0] * 396}
+
+    def test_dimension_1500_is_fast(self, capsys):
+        # witnesses are verified on their axes' support, not as 1500 x 1500 matrices
+        start = time.monotonic()
+        code, out, _ = run(capsys, "spectrum", "--dim", "1500", "--max", "2", "--json")
+        elapsed = time.monotonic() - start
+        assert code == 0
+        assert json.loads(out) == {"1": [1] + [0] * 1499, "2": [1, 1, 1, 1] + [0] * 1496}
+        assert elapsed < 1.0  # verifying the whole 1500 x 1500 product takes seconds
 
 
 class TestDecompose:

@@ -2,22 +2,39 @@ import math
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cslindex import spectrum
 from cslindex.indices import CoprimalityViolated, CrossCheckFailed
-from cslindex.oracle import index_by_counting
-from cslindex.isometry import ReflectionAxis, reflection
+from cslindex.oracle import index_by_counting, intersection_hnf
+from cslindex.isometry import ReflectionAxis, compose, reflection
 from cslindex.spectrum import (
     SquareWitness,
     WitnessNotFound,
     coprime_witness,
     four_square_odd_decompose,
     is_three_square_excluded,
-    primitive_axes_with_norm,
     reflection_spectrum,
     reflection_witness_axis,
     three_square_decompose,
+    vectors_with_norm,
 )
+
+
+def nonincreasing_with_norm(n, norm):
+    """Brute force: every non-increasing nonnegative n-tuple of the norm, descending."""
+    return sorted(
+        (
+            tup[::-1]
+            for tup in combinations_with_replacement(range(math.isqrt(norm) + 1), n)
+            if sum(x * x for x in tup) == norm
+        ),
+        reverse=True,
+    )
+
+
+def primitive_with_norm(n, norm):
+    return [v for v in vectors_with_norm(n, norm) if math.gcd(*v) == 1]
 
 
 class TestThreeSquares:
@@ -44,6 +61,28 @@ class TestThreeSquares:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             three_square_decompose(0)
+
+    def test_largest_nonincreasing_triple(self):
+        # the CLI prints the first triple found, so it must be the largest one
+        bound = 3000
+        largest = {}
+        for triple in combinations_with_replacement(range(math.isqrt(bound) + 1), 3):
+            m = sum(x * x for x in triple)
+            if 0 < m <= bound:
+                largest[m] = max(largest.get(m, triple[::-1]), triple[::-1])
+        for m in range(1, bound + 1):
+            w = three_square_decompose(m)
+            assert (w and w.squares) == largest.get(m)
+
+    def test_power_of_four(self):
+        w = three_square_decompose(3 * 4**11)
+        assert w.squares == (2048, 2048, 2048)
+        assert w.content == 2048
+
+    def test_excluded_times_sixteen(self):
+        m = 16 * (8 * 1000 + 7)
+        assert is_three_square_excluded(m)
+        assert three_square_decompose(m) is None
 
 
 class TestFourSquaresOdd:
@@ -77,7 +116,7 @@ class TestFourSquaresOdd:
 
 class TestShellEnumeration:
     def test_canonical_and_primitive(self):
-        axes = list(primitive_axes_with_norm(3, 14))
+        axes = primitive_with_norm(3, 14)
         assert (3, 2, 1) in axes
         for tup in axes:
             assert sum(x * x for x in tup) == 14
@@ -85,25 +124,24 @@ class TestShellEnumeration:
             assert list(tup) == sorted(tup, reverse=True)
 
     def test_no_primitive_norm_8_in_4d(self):
-        assert list(primitive_axes_with_norm(4, 8)) == []
+        assert primitive_with_norm(4, 8) == []
 
     def test_descending_lexicographic_order(self):
         # witnesses are the first axis found, so the order is part of the CLI output
         for n in range(1, 6):
             for norm in range(40):
-                expected = sorted(
-                    (
-                        tup[::-1]
-                        for tup in combinations_with_replacement(range(math.isqrt(norm) + 1), n)
-                        if sum(x * x for x in tup) == norm and math.gcd(*tup) == 1
-                    ),
-                    reverse=True,
-                )
-                assert list(primitive_axes_with_norm(n, norm)) == expected
+                expected = [tup for tup in nonincreasing_with_norm(n, norm) if math.gcd(*tup) == 1]
+                assert primitive_with_norm(n, norm) == expected
+
+    def test_every_vector_in_order(self):
+        # primitive or not; n = 1 and norm 0 included
+        for n in range(1, 6):
+            for norm in range(60):
+                assert list(vectors_with_norm(n, norm)) == nonincreasing_with_norm(n, norm)
 
     def test_dimension_beyond_recursion_limit(self):
         n = 1500
-        assert list(primitive_axes_with_norm(n, 3)) == [(1, 1, 1) + (0,) * (n - 3)]
+        assert primitive_with_norm(n, 3) == [(1, 1, 1) + (0,) * (n - 3)]
         assert reflection_witness_axis(n, 2).coords == (1, 1, 1, 1) + (0,) * (n - 4)
 
 
@@ -145,6 +183,28 @@ class TestReflectionSpectrum:
             reflection_spectrum(1, 5)
         with pytest.raises(ValueError):
             reflection_spectrum(3, 0)
+
+
+nonzero_axes = st.integers(1, 10).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any), min_size=1, max_size=3
+    )
+)
+
+
+class TestWitnessOnSupport:
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_axes)
+    def test_matches_full_product(self, coords):
+        axes = tuple(ReflectionAxis.from_coords(c) for c in coords)
+        n = axes[0].dimension
+        full = reflection(axes[0])
+        for axis in axes[1:]:
+            full = compose(full, reflection(axis))
+        sigma = intersection_hnf(full).index
+        assert spectrum._verified_witness(n, sigma, axes) == spectrum.IndexWitness(sigma, n, axes)
+        with pytest.raises(CrossCheckFailed):
+            spectrum._verified_witness(n, sigma + 1, axes)
 
 
 class TestCoprimeWitness:
