@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .isometry import RationalIsometry, ReflectionAxis
+from .isometry import CrossCheckFailed, RationalIsometry, ReflectionAxis
 from .matrices import minors_gcd
 
 # minor enumeration stays cheap up to this dimension (C(8,4)^2 = 4900 minors)
@@ -38,10 +38,6 @@ class IndexReport:
     sigma: int
     method: str
     factors: tuple[int, ...]
-
-
-class CrossCheckFailed(RuntimeError):
-    """Two internal computations of the same quantity disagree: a defect, not bad input."""
 
 
 class CoprimalityViolated(ValueError):
@@ -111,6 +107,10 @@ def index_coprime_product(vs) -> IndexReport:
 
 
 def palindrome_factors(y: RationalIsometry) -> tuple[tuple[int, int], ...]:
-    """Pairs (d_i, d_{n+1-i}) of invariant factors; each product equals q^2."""
+    """Pairs (d_i, d_{n+1-i}) of invariant factors; each product equals q^2.
+
+    `RationalIsometry.invariant_factors` builds d_{n+1-i} as q^2 / d_i, so the
+    products hold by construction; the tests check them on `smith_normal_form`.
+    """
     d = y.invariant_factors
     return tuple((d[i], d[y.n - 1 - i]) for i in range((y.n + 1) // 2))

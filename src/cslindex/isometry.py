@@ -29,6 +29,10 @@ class NotOrthogonal(ValueError):
     """Raised when a matrix fails the exact orthogonality check Y^T Y = I."""
 
 
+class CrossCheckFailed(RuntimeError):
+    """Two internal computations of the same quantity disagree: a defect, not bad input."""
+
+
 @dataclass(frozen=True)
 class RationalIsometry:
     """Y = (1/q) z with z^T z == q^2 I and gcd of entries of z equal to 1."""
@@ -68,12 +72,8 @@ class RationalIsometry:
         if rem:
             return None
         v = tuple(x // c for x in u)
-        for i, vi in enumerate(v):
-            # row i of z must be q e_i - (r v_i) v
-            expected = list(map((-r * vi).__mul__, v))
-            expected[i] += q
-            if tuple(expected) != z.row(i):
-                return None
+        if _scaled_identity_minus_rank_one(q, r, v) != z.entries:
+            return None
         return v, r
 
     def _check_gram(self) -> None:
@@ -112,10 +112,30 @@ class RationalIsometry:
     def invariant_factors(self) -> tuple[int, ...]:
         """Smith diagonal of z, computed once and shared by the index formulas.
 
-        d_1 = 1 and d_i * d_{n+1-i} = q^2, so every factor divides q^2 and the
-        diagonal comes from elimination mod q^2, without transforms.
+        d_i * d_{n+1-i} = q^2 with d_i | q for i <= m = floor(n/2) and q | d_i
+        above.  Elimination mod q, without transforms, gives gcd(d_i, q): that
+        is d_i for i <= m and q for every later i, which is checked.  The rest
+        of the diagonal is q in the middle when n is odd, then q^2 / d_i for
+        i = m, ..., 1.
         """
-        return _smith_diagonal_mod(self.z, self.q * self.q)
+        q, m = self.q, self.n // 2
+        d = _smith_diagonal_mod(self.z, q)
+        for i in range(m, self.n):
+            if d[i] != q:
+                raise CrossCheckFailed(
+                    f"Smith diagonal mod q = {q} has {d[i]} at position {i + 1}, "
+                    f"expected q past the middle"
+                )
+        head = d[:m]
+        return head + (q,) * (self.n % 2) + tuple(q * q // x for x in reversed(head))
+
+
+def _scaled_identity_minus_rank_one(q: int, r: int, v: Sequence[int]) -> tuple[int, ...]:
+    """Entries of q I - r v v^T, row by row."""
+    n = len(v)
+    entries = [a * b for a in [-r * x for x in v] for b in v]
+    entries[:: n + 1] = [e + q for e in entries[:: n + 1]]
+    return tuple(entries)
 
 
 def identity_isometry(n: int) -> RationalIsometry:
@@ -192,12 +212,8 @@ def reflection(v) -> RationalIsometry:
     w = axis.norm_sq
     # (q, h) = (w, 2) or (w/2, 1): the numerator is q I - h v v^T
     q, h = (w, 2) if w % 2 else (w // 2, 1)
-    entries: list[int] = []
-    for i, ai in enumerate(a):
-        row = list(map((-h * ai).__mul__, a))
-        row[i] += q
-        entries.extend(row)
-    return RationalIsometry(len(a), q, IntMatrix(len(a), len(a), tuple(entries)))
+    n = len(a)
+    return RationalIsometry(n, q, IntMatrix(n, n, _scaled_identity_minus_rank_one(q, h, a)))
 
 
 def compose(a: RationalIsometry, b: RationalIsometry) -> RationalIsometry:

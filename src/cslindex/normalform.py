@@ -11,12 +11,12 @@ since every form is reduced, P and Q stay small.  Its P and Q are one valid
 pair among many, and they changed when this algorithm replaced pivot
 elimination without reduction; d is canonical and did not change.
 
-Two private routines serve lattices that contain a known multiple N of
-Z^n: `_smith_diagonal_mod` (the Smith diagonal, when N is a multiple of the
-last invariant factor) and `_hermite_tail_mod` (the tail of a Hermite form
-of rows plus N Z^cols).  Both keep every entry mod N.  All of them clear an
-entry with one extended-gcd step (`_xgcd`), or by subtracting a multiple of
-the pivot's row when the pivot divides it.
+Two private routines work on the rows of a matrix plus N Z^n for a chosen
+N: `_smith_diagonal_mod` (gcd(d_i, N) for each invariant factor d_i, which
+is d_i itself when N is a multiple of the last one) and `_hermite_tail_mod`
+(the tail of a Hermite form of rows plus N Z^cols).  Both keep every entry
+mod N.  All of them clear an entry with one extended-gcd step (`_xgcd`), or
+by subtracting a multiple of the pivot's row when the pivot divides it.
 """
 
 from __future__ import annotations
@@ -165,17 +165,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> tuple[int, ...]:
-    """Smith diagonal of a square full-rank a whose last invariant factor divides modulus.
+    """gcd(d_i, N) for each invariant factor d_i of a square a, for any N = modulus >= 1.
 
-    Then modulus * Z^n lies in the column lattice of a, so the cokernel is
-    that of a mod modulus (Domich, Kannan & Trotter 1987): elimination runs
-    without transforms on entries reduced symmetrically mod N = modulus,
-    and leaves the cokernel as the sum of Z/gcd(pivot, N), with N for each
-    pivot of a zero remaining block.  An entry below the pivot is cleared by
-    subtracting a multiple of the pivot row when the pivot divides it, and
-    otherwise by one extended-gcd step, which lowers the pivot to the gcd of
-    the two.  Column steps run as row steps on the transpose, which has the
-    same diagonal.
+    Elimination runs without transforms on entries reduced symmetrically
+    mod N, so it reduces the rows of a plus N Z^n (Domich, Kannan & Trotter
+    1987), whose cokernel is the sum of Z/gcd(d_i, N), with gcd(0, N) = N.
+    It leaves gcd(pivot, N) for each pivot, and N for each pivot of a zero
+    remaining block.  When N is a multiple of the last invariant factor, the
+    result is d itself.  An entry below the pivot is cleared by subtracting
+    a multiple of the pivot row when the pivot divides it, and otherwise by
+    one extended-gcd step, which lowers the pivot to the gcd of the two.
+    Column steps run as row steps on the transpose, which has the same
+    diagonal.
     """
     N = modulus
     half = N // 2

@@ -94,6 +94,8 @@ def test_criterion_02_palindromic_invariant_factors(corpus):
             qsq = y.q * y.q
             for a, b in palindrome_factors(y):
                 assert a * b == qsq
+            d = smith_normal_form(y.z).d
+            assert all(d[i] * d[n - 1 - i] == qsq for i in range(n))
     print("\nPASS criterion 2: d_i * d_{n+1-i} == q^2 on the whole corpus")
 
 

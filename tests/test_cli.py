@@ -301,3 +301,14 @@ class TestCrossCheckFailure:
         assert code == 1
         assert out == ""
         assert err.startswith("error: witness verification failed")
+
+    def test_diagonal_tail_not_q_exits_one(self, capsys, tmp_path, monkeypatch):
+        # past the middle, every entry of the Smith diagonal mod q must be q
+        monkeypatch.setattr(isometry, "_smith_diagonal_mod", lambda z, modulus: (1,) * z.rows)
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Smith diagonal mod q = 5 has 1 at position 2")
+        assert "Traceback" not in err

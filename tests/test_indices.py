@@ -124,6 +124,8 @@ class TestPalindromeFactors:
             for y in random_corpus(n, 10, 500 + n):
                 for a, b in palindrome_factors(y):
                     assert a * b == y.q * y.q
+                d = smith_normal_form(y.z).d
+                assert all(d[i] * d[n - 1 - i] == y.q * y.q for i in range(n))
 
 
 class TestInvariantFactorStructure:
@@ -175,6 +177,8 @@ class TestIsometryProperties:
     def test_palindromic_products(self, y):
         d = y.invariant_factors
         assert all(d[i] * d[y.n - 1 - i] == y.q * y.q for i in range(y.n))
+        snf = smith_normal_form(y.z).d
+        assert all(snf[i] * snf[y.n - 1 - i] == y.q * y.q for i in range(y.n))
 
     @settings(max_examples=40, deadline=None)
     @given(isometries())

@@ -146,6 +146,29 @@ class TestSmithNormalForm:
         # the last invariant factor divides |det a|, so any multiple of it is a valid modulus
         assert _smith_diagonal_mod(a, c * abs(det(a))) == smith_normal_form(a).d
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: matrices(dims=st.just((n, n)))),
+        st.integers(0, 4),
+        st.integers(1, 500),
+    )
+    def test_diagonal_mod_any_modulus_is_gcd_with_smith_diagonal(self, a, repeats, modulus):
+        # the first row in place of the last `repeats` rows makes it singular
+        repeats = min(repeats, a.rows - 1)
+        rows = a.to_rows()
+        a = IntMatrix.from_rows(rows[: a.rows - repeats] + [rows[0]] * repeats)
+        want = tuple(math.gcd(d, modulus) for d in smith_normal_form(a).d)
+        assert _smith_diagonal_mod(a, modulus) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_isometry_diagonal_mod_q(self, n, k, bound, seed):
+        # d_i | q up to the middle and q | d_i past it, so mod q the tail is all q
+        y = random_isometry(n, min(k, n), bound, seed)
+        d = _smith_diagonal_mod(y.z, y.q)
+        assert d == tuple(math.gcd(x, y.q) for x in smith_normal_form(y.z).d)
+        assert d[n // 2 :] == (y.q,) * (n - n // 2)
+
 
 class TestExternalReference:
     def test_invariant_factors_match_sympy(self):
