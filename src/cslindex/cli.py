@@ -9,6 +9,7 @@ one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .matrices import (
     parse_rat_matrix,
 )
 from .normalform import smith_normal_form
-from .oracle import DEFAULT_RESIDUE_CAP, index_by_counting, index_by_hnf
+from .oracle import DEFAULT_RESIDUE_CAP, CapExceeded, index_by_counting, index_by_hnf
 from .spectrum import (
     coprime_witness,
     four_square_odd_decompose,
@@ -164,17 +165,17 @@ def _cmd_compose(args) -> int:
 
 
 def _verify_reports(y: RationalIsometry, cap: int):
+    """Every route's report, and whether all agree; counting only runs under its cap."""
     reports = [index_fortes(y), index_closed_form(y), index_by_hnf(y)]
-    if y.q**y.n <= cap:
+    with contextlib.suppress(CapExceeded):
         reports.append(index_by_counting(y, cap))
-    return reports
+    return reports, len({r.sigma for r in reports}) == 1
 
 
 def _cmd_verify(args) -> int:
     cap = _cap(args)
     y = _read_isometry(args.matrix)
-    reports = _verify_reports(y, cap)
-    agree = len({r.sigma for r in reports}) == 1
+    reports, agree = _verify_reports(y, cap)
     lines = [f"{r.method} {r.sigma}" for r in reports]
     lines.append(f"verdict {'agree' if agree else 'DISAGREE'}")
     _emit(
@@ -200,8 +201,7 @@ def _cmd_corpus(args) -> int:
     records = []
     ok = True
     for y in corpus:
-        reports = _verify_reports(y, cap)
-        agree = len({r.sigma for r in reports}) == 1
+        reports, agree = _verify_reports(y, cap)
         ok = ok and agree
         records.append({"q": y.q, "sigma": reports[0].sigma, "agree": agree})
     _emit(

@@ -46,11 +46,12 @@ class RationalIsometry:
             raise ValueError("q must be positive")
         if not self.z.is_square or self.z.rows != self.n:
             raise ValueError("z must be an n x n matrix")
-        if gcd_entries(self.z) != 1:
-            raise ValueError("entries of z must have gcd 1")
         rank_one = self._rank_one
         if rank_one is None or rank_one[1] * sum(x * x for x in rank_one[0]) != 2 * self.q:
             self._check_gram()
+        # after the orthogonality check, so a matrix that is not orthogonal is reported as such
+        if gcd_entries(self.z) != 1:
+            raise ValueError("entries of z must have gcd 1")
 
     @cached_property
     def _rank_one(self) -> tuple[tuple[int, ...], int] | None:
@@ -170,7 +171,10 @@ class ReflectionAxis:
             raise ValueError("axis must be primitive; use ReflectionAxis.from_coords")
 
     @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "ReflectionAxis":
+    def from_coords(cls, coords: "ReflectionAxis | Sequence[int]") -> "ReflectionAxis":
+        """Normalize coords to a primitive axis; an axis is returned unchanged."""
+        if isinstance(coords, ReflectionAxis):
+            return coords
         coords = tuple(int(c) for c in coords)
         if not any(coords):
             raise ValueError("reflection axis must be nonzero")
@@ -182,16 +186,8 @@ class ReflectionAxis:
         return cls(coords)
 
     @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    @property
     def norm_sq(self) -> int:
         return sum(c * c for c in self.coords)
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.norm_sq % 2 == 0 else "odd"
 
     @property
     def coincidence_index(self) -> int:
@@ -207,7 +203,7 @@ def reflection(v) -> RationalIsometry:
     denominator is w when w is odd and w/2 when w is even, because the gcd
     of the entries of w I - 2 v v^T is 1 or 2 accordingly.
     """
-    axis = v if isinstance(v, ReflectionAxis) else ReflectionAxis.from_coords(v)
+    axis = ReflectionAxis.from_coords(v)
     a = axis.coords
     w = axis.norm_sq
     # (q, h) = (w, 2) or (w/2, 1): the numerator is q I - h v v^T
@@ -231,11 +227,6 @@ def compose(a: RationalIsometry, b: RationalIsometry) -> RationalIsometry:
         t = r * sum(map(operator.mul, row, v))
         product.extend(map(operator.sub, map(b.q.__mul__, row), map(t.__mul__, v)))
     return _canonical(a.q * b.q, IntMatrix(a.n, a.n, tuple(product)))
-
-
-def transpose_inverse(a: RationalIsometry) -> RationalIsometry:
-    """The inverse, which for an isometry is the transpose."""
-    return RationalIsometry(a.n, a.q, a.z.transpose())
 
 
 def random_axis(n: int, coordinate_bound: int, rng: Lcg) -> ReflectionAxis:

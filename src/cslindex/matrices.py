@@ -63,9 +63,6 @@ class IntMatrix:
             self.cols, self.rows, tuple(x for col in self.columns() for x in col)
         )
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
-
     def exact_div(self, c: int) -> "IntMatrix":
         """Divide every entry by c, which must divide exactly."""
         if c == 0:
@@ -166,7 +163,7 @@ class RatMatrix:
         if denominator == 0:
             raise ZeroDivisionError("zero denominator")
         if denominator < 0:
-            numerator, denominator = numerator.scale(-1), -denominator
+            numerator, denominator = numerator.exact_div(-1), -denominator
         if any(numerator.entries):
             g = math.gcd(denominator, gcd_entries(numerator))
             if g > 1:

@@ -3,7 +3,7 @@
 import operator
 from fractions import Fraction
 
-from cslindex.isometry import NotOrthogonal
+from cslindex.isometry import NotOrthogonal, RationalIsometry
 from cslindex.matrices import IntMatrix
 
 
@@ -24,6 +24,11 @@ def check_gram_reference(q: int, z: IntMatrix) -> None:
                     f"columns {i} and {j} have inner product "
                     f"{Fraction(got, qsq)}, expected {0 if i != j else 1}"
                 )
+
+
+def transpose_inverse(a: RationalIsometry) -> RationalIsometry:
+    """The inverse, which for an isometry is the transpose."""
+    return RationalIsometry(a.n, a.q, a.z.transpose())
 
 
 def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:

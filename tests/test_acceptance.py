@@ -21,7 +21,6 @@ from cslindex.indices import (
     index_coprime_product,
     index_fortes,
     index_reflection,
-    palindrome_factors,
 )
 from cslindex.isometry import (
     ReflectionAxis,
@@ -92,8 +91,8 @@ def test_criterion_02_palindromic_invariant_factors(corpus):
     for n, isometries in corpus.items():
         for y in isometries:
             qsq = y.q * y.q
-            for a, b in palindrome_factors(y):
-                assert a * b == qsq
+            d = y.invariant_factors
+            assert all(d[i] * d[n - 1 - i] == qsq for i in range(n))
             d = smith_normal_form(y.z).d
             assert all(d[i] * d[n - 1 - i] == qsq for i in range(n))
     print("\nPASS criterion 2: d_i * d_{n+1-i} == q^2 on the whole corpus")

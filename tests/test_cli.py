@@ -135,6 +135,21 @@ class TestVerify:
         assert code == 2
         assert "not orthogonal" in err
 
+    @pytest.mark.parametrize(
+        "text, product", [("2 2\n2 0\n0 2\n", 4), ("1 1\n5\n", 25), ("2 2\n0 0\n0 0\n", 0)]
+    )
+    def test_not_orthogonal_in_lowest_terms(self, capsys, tmp_path, text, product):
+        # an integer matrix has q = 1, so the gcd of its entries is not what is wrong
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {f} is not orthogonal: "
+            f"columns 0 and 0 have inner product {product}, expected 1\n"
+        )
+
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("2 2\n1 2\n")

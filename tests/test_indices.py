@@ -1,3 +1,4 @@
+import contextlib
 import math
 from collections import defaultdict
 from itertools import product
@@ -12,7 +13,6 @@ from cslindex.indices import (
     index_coprime_product,
     index_fortes,
     index_reflection,
-    palindrome_factors,
 )
 from cslindex.isometry import (
     RationalIsometry,
@@ -22,11 +22,11 @@ from cslindex.isometry import (
     random_corpus,
     random_isometry,
     reflection,
-    transpose_inverse,
 )
 from cslindex.matrices import IntMatrix, RatMatrix
 from cslindex.normalform import smith_normal_form
-from cslindex.oracle import index_by_counting, index_by_hnf
+from cslindex.oracle import CapExceeded, index_by_counting, index_by_hnf
+from support import transpose_inverse
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -110,20 +110,22 @@ class TestCoprimeProduct:
 
 
 class TestPalindromeFactors:
+    """d_i d_{n+1-i} = q^2 for the invariant factors d of Z."""
+
     def test_identity(self):
-        assert palindrome_factors(identity_isometry(3)) == ((1, 1), (1, 1))
+        assert identity_isometry(3).invariant_factors == (1, 1, 1)
 
     def test_planar_rotation(self):
-        assert palindrome_factors(ROT_2D) == ((1, 25),)
+        assert ROT_2D.invariant_factors == (1, 25)
 
     def test_reflection(self):
-        assert palindrome_factors(reflection((1, 1, 1))) == ((1, 9), (3, 3))
+        assert reflection((1, 1, 1)).invariant_factors == (1, 3, 9)
 
     def test_products_equal_q_squared(self):
         for n in (2, 3, 4, 5):
             for y in random_corpus(n, 10, 500 + n):
-                for a, b in palindrome_factors(y):
-                    assert a * b == y.q * y.q
+                d = y.invariant_factors
+                assert all(d[i] * d[n - 1 - i] == y.q * y.q for i in range(n))
                 d = smith_normal_form(y.z).d
                 assert all(d[i] * d[n - 1 - i] == y.q * y.q for i in range(n))
 
@@ -179,6 +181,17 @@ class TestIsometryProperties:
         assert all(d[i] * d[y.n - 1 - i] == y.q * y.q for i in range(y.n))
         snf = smith_normal_form(y.z).d
         assert all(snf[i] * snf[y.n - 1 - i] == y.q * y.q for i in range(y.n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(isometries())
+    def test_denominator_divides_sigma_divides_its_power(self, y):
+        # the CSL bound q | Sigma | q^m, m = floor(n/2), by the routes that never read d
+        sigmas = {index_by_hnf(y).sigma}
+        with contextlib.suppress(CapExceeded):
+            sigmas.add(index_by_counting(y).sigma)
+        for sigma in sigmas:
+            assert sigma % y.q == 0
+            assert y.q ** (y.n // 2) % sigma == 0
 
     @settings(max_examples=40, deadline=None)
     @given(isometries())
@@ -327,15 +340,18 @@ class TestQuaternionAnchors:
         )
     )
     def test_four_dimensions_odd_part_is_lcm(self, pq):
-        # the 2-part of Sigma is 1 or 2 here; its rule is not asserted
+        # Baake 1997: the odd part of Sigma is lcm(odd(|p|^2), odd(|q|^2)); the
+        # 2-part is that of the denominator of Y, which is 1 or 2
         p, q = pq
         y = rotation_4d(p, q)
         sigmas = all_sigmas(y)
         assert len(sigmas) == 1
         sigma = sigmas.pop()
-        assert odd_part(sigma) == math.lcm(
-            odd_part(quaternion_norm(p)), odd_part(quaternion_norm(q))
-        )
+        odd_lcm = math.lcm(odd_part(quaternion_norm(p)), odd_part(quaternion_norm(q)))
+        assert odd_part(sigma) == odd_lcm
+        two_part = y.q // odd_part(y.q)
+        assert two_part <= 2
+        assert sigma == odd_lcm * two_part
         assert all_sigmas(compose(y, reflection((1, 0, 0, 0)))) == {sigma}
 
 

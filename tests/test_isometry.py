@@ -15,10 +15,9 @@ from cslindex.isometry import (
     random_corpus,
     random_isometry,
     reflection,
-    transpose_inverse,
 )
 from cslindex.matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul
-from support import check_gram_reference
+from support import check_gram_reference, transpose_inverse
 
 
 def canonical_primitive_axes(n, max_norm):
@@ -220,6 +219,24 @@ class TestFromRationalMatrix:
         with pytest.raises(ValueError):
             from_rational_matrix(RatMatrix.make(IntMatrix.from_rows([[1, 0]]), 1))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[2, 0], [0, 2]], "columns 0 and 0 have inner product 4, expected 1"),
+            ([[5]], "columns 0 and 0 have inner product 25, expected 1"),
+            ([[0, 0], [0, 0]], "columns 0 and 0 have inner product 0, expected 1"),
+        ],
+    )
+    def test_orthogonality_checked_before_entry_gcd(self, rows, message):
+        with pytest.raises(NotOrthogonal) as exc:
+            RationalIsometry(len(rows), 1, IntMatrix.from_rows(rows))
+        assert str(exc.value) == message
+
+    def test_orthogonal_but_not_in_lowest_terms(self):
+        with pytest.raises(ValueError, match="entries of z must have gcd 1") as exc:
+            RationalIsometry(2, 2, IntMatrix.from_rows([[2, 0], [0, 2]]))
+        assert not isinstance(exc.value, NotOrthogonal)
+
 
 class TestReflection:
     def test_signed_permutation_case(self):
@@ -289,8 +306,13 @@ class TestReflectionAxis:
         assert axis.coords == (1, -2, 3)
 
     def test_parity(self):
-        assert ReflectionAxis.from_coords((1, 1, 1)).parity == "odd"
-        assert ReflectionAxis.from_coords((1, 1, 1, 1)).parity == "even"
+        assert ReflectionAxis.from_coords((1, 1, 1)).norm_sq % 2 == 1
+        assert ReflectionAxis.from_coords((1, 1, 1, 1)).norm_sq % 2 == 0
+
+    def test_axis_passes_through_unchanged(self):
+        axis = ReflectionAxis.from_coords((-2, 4, -6))
+        assert ReflectionAxis.from_coords(axis) is axis
+        assert reflection(axis) == reflection((-2, 4, -6))
 
     def test_non_primitive_direct_construction_rejected(self):
         with pytest.raises(ValueError):

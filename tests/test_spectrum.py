@@ -197,7 +197,7 @@ class TestWitnessOnSupport:
     @given(nonzero_axes)
     def test_matches_full_product(self, coords):
         axes = tuple(ReflectionAxis.from_coords(c) for c in coords)
-        n = axes[0].dimension
+        n = len(axes[0].coords)
         full = reflection(axes[0])
         for axis in axes[1:]:
             full = compose(full, reflection(axis))
