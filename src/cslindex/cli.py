@@ -39,7 +39,6 @@ from .matrices import (
 from .normalform import smith_normal_form
 from .oracle import DEFAULT_RESIDUE_CAP, CapExceeded, index_by_counting, index_by_hnf
 from .spectrum import (
-    coprime_witness,
     four_square_odd_decompose,
     reflection_spectrum,
     three_square_decompose,
@@ -69,11 +68,15 @@ def _cap(args) -> int:
     return cap
 
 
-def _read_isometry(path: str) -> RationalIsometry:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _read_isometry(path: str) -> RationalIsometry:
+    text = _read_text(path)
     try:
         return from_rational_matrix(parse_rat_matrix(text))
     except NotOrthogonal as exc:
@@ -84,14 +87,9 @@ def _read_isometry(path: str) -> RationalIsometry:
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(t) for t in text.replace(",", " ").split())
+        return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError:
         raise InputError(f"bad vector {text!r}; expected comma-separated integers")
-    if not coords:
-        raise InputError("empty vector")
-    if not any(coords):
-        raise InputError("vector must be nonzero")
-    return coords
 
 
 def _emit(args, plain_lines, payload) -> None:
@@ -129,13 +127,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_snf(args) -> int:
-    try:
-        a = parse_int_matrix(Path(args.matrix).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {args.matrix}: {exc}")
-    except ValueError as exc:
-        raise InputError(str(exc))
-    dec = smith_normal_form(a)
+    dec = smith_normal_form(parse_int_matrix(_read_text(args.matrix)))
     _emit(
         args,
         ["d " + " ".join(str(x) for x in dec.d), "P"]
@@ -227,8 +219,6 @@ def _cmd_decompose(args) -> int:
     if (args.odd is None) == (args.three is None):
         raise InputError("decompose needs exactly one of --odd or --three")
     if args.odd is not None:
-        if args.odd < 1 or args.odd % 2 == 0:
-            raise InputError("--odd expects an odd positive integer")
         w = four_square_odd_decompose(args.odd)
         _emit(
             args,
@@ -236,8 +226,6 @@ def _cmd_decompose(args) -> int:
             {"target": w.target, "squares": list(w.squares), "content": w.content},
         )
         return 0
-    if args.three < 1:
-        raise InputError("--three expects a positive integer")
     w = three_square_decompose(args.three)
     if w is None:
         _emit(

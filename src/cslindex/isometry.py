@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul
+from .matrices import IntMatrix, RatMatrix, _lowest_terms, gcd_entries, mat_mul
 from .normalform import _smith_diagonal_mod
 from .rng import Lcg
 
@@ -37,21 +37,24 @@ class CrossCheckFailed(RuntimeError):
 class RationalIsometry:
     """Y = (1/q) z with z^T z == q^2 I and gcd of entries of z equal to 1."""
 
-    n: int
     q: int
     z: IntMatrix
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError("q must be positive")
-        if not self.z.is_square or self.z.rows != self.n:
-            raise ValueError("z must be an n x n matrix")
+        if not self.z.is_square:
+            raise ValueError("isometries must be square")
         rank_one = self._rank_one
         if rank_one is None or rank_one[1] * sum(x * x for x in rank_one[0]) != 2 * self.q:
             self._check_gram()
         # after the orthogonality check, so a matrix that is not orthogonal is reported as such
         if gcd_entries(self.z) != 1:
             raise ValueError("entries of z must have gcd 1")
+
+    @property
+    def n(self) -> int:
+        return self.z.rows
 
     @cached_property
     def _rank_one(self) -> tuple[tuple[int, ...], int] | None:
@@ -107,7 +110,7 @@ class RationalIsometry:
                     )
 
     def as_rational(self) -> RatMatrix:
-        return RatMatrix.make(self.z, self.q)
+        return RatMatrix(self.z, self.q)
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -140,22 +143,17 @@ def _scaled_identity_minus_rank_one(q: int, r: int, v: Sequence[int]) -> tuple[i
 
 
 def identity_isometry(n: int) -> RationalIsometry:
-    return RationalIsometry(n, 1, IntMatrix.identity(n))
+    return RationalIsometry(1, IntMatrix.identity(n))
 
 
 def _canonical(q: int, z: IntMatrix) -> RationalIsometry:
-    g = math.gcd(q, gcd_entries(z))
-    if g > 1:
-        q //= g
-        z = z.exact_div(g)
-    return RationalIsometry(z.rows, q, z)
+    z, q = _lowest_terms(z, q)
+    return RationalIsometry(q, z)
 
 
 def from_rational_matrix(m: RatMatrix) -> RationalIsometry:
     """Validate an exact rational matrix, already in lowest terms, as an isometry."""
-    if not m.numerator.is_square:
-        raise ValueError("isometries must be square")
-    return RationalIsometry(m.numerator.rows, m.denominator, m.numerator)
+    return RationalIsometry(m.denominator, m.numerator)
 
 
 @dataclass(frozen=True)
@@ -165,8 +163,7 @@ class ReflectionAxis:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not any(self.coords):
-            raise ValueError("reflection axis must be nonzero")
+        # a zero vector has gcd 0, so this also rejects it
         if math.gcd(*self.coords) != 1:
             raise ValueError("axis must be primitive; use ReflectionAxis.from_coords")
 
@@ -209,7 +206,7 @@ def reflection(v) -> RationalIsometry:
     # (q, h) = (w, 2) or (w/2, 1): the numerator is q I - h v v^T
     q, h = (w, 2) if w % 2 else (w // 2, 1)
     n = len(a)
-    return RationalIsometry(n, q, IntMatrix(n, n, _scaled_identity_minus_rank_one(q, h, a)))
+    return RationalIsometry(q, IntMatrix(n, n, _scaled_identity_minus_rank_one(q, h, a)))
 
 
 def compose(a: RationalIsometry, b: RationalIsometry) -> RationalIsometry:
@@ -242,8 +239,10 @@ def random_isometry(
     """Product of k seeded random reflections with primitive axes."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if k < 0 or coordinate_bound < 1:
-        raise ValueError("reflection count must be >= 0 and bound >= 1")
+    if k < 0:
+        raise ValueError(f"reflection count must be >= 0, got {k}")
+    if coordinate_bound < 1:
+        raise ValueError(f"coordinate bound must be >= 1, got {coordinate_bound}")
     rng = Lcg(seed)
     iso = identity_isometry(n)
     for _ in range(k):

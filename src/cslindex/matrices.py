@@ -63,14 +63,6 @@ class IntMatrix:
             self.cols, self.rows, tuple(x for col in self.columns() for x in col)
         )
 
-    def exact_div(self, c: int) -> "IntMatrix":
-        """Divide every entry by c, which must divide exactly."""
-        if c == 0:
-            raise ZeroDivisionError("division of matrix by zero")
-        if any(e % c for e in self.entries):
-            raise ValueError(f"{c} does not divide all entries")
-        return IntMatrix(self.rows, self.cols, tuple(e // c for e in self.entries))
-
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         return IntMatrix.from_rows(
             [[self.at(i, j) for j in col_idx] for i in row_idx]
@@ -143,6 +135,25 @@ def minors_gcd(a: IntMatrix, i: int) -> int:
     return g
 
 
+def _lowest_terms(numerator: IntMatrix, denominator: int) -> tuple[IntMatrix, int]:
+    """numerator / denominator in lowest terms, with a positive denominator.
+
+    Both are divided by g = gcd(denominator, entries), negated when the
+    denominator is negative; a zero numerator gets denominator 1.
+    """
+    if denominator == 0:
+        raise ZeroDivisionError("zero denominator")
+    g = math.gcd(denominator, *numerator.entries)
+    if denominator < 0:
+        g = -g
+    if g != 1:
+        numerator = IntMatrix(
+            numerator.rows, numerator.cols, tuple(e // g for e in numerator.entries)
+        )
+        denominator //= g
+    return numerator, denominator
+
+
 @dataclass(frozen=True)
 class RatMatrix:
     """(1/denominator) * numerator with denominator > 0, in lowest terms."""
@@ -153,25 +164,12 @@ class RatMatrix:
     def __post_init__(self) -> None:
         if self.denominator <= 0:
             raise ValueError("denominator must be positive")
-        if self.denominator > 1:
-            g = math.gcd(self.denominator, gcd_entries(self.numerator))
-            if g != 1:
-                raise ValueError("RatMatrix not in canonical form; use RatMatrix.make")
+        if math.gcd(self.denominator, *self.numerator.entries) != 1:
+            raise ValueError("RatMatrix not in canonical form; use RatMatrix.make")
 
     @classmethod
     def make(cls, numerator: IntMatrix, denominator: int) -> "RatMatrix":
-        if denominator == 0:
-            raise ZeroDivisionError("zero denominator")
-        if denominator < 0:
-            numerator, denominator = numerator.exact_div(-1), -denominator
-        if any(numerator.entries):
-            g = math.gcd(denominator, gcd_entries(numerator))
-            if g > 1:
-                numerator = numerator.exact_div(g)
-                denominator //= g
-        else:
-            denominator = 1
-        return cls(numerator, denominator)
+        return cls(*_lowest_terms(numerator, denominator))
 
     @classmethod
     def from_fractions(cls, rows) -> "RatMatrix":

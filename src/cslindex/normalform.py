@@ -8,8 +8,7 @@ matrix.  `hermite_normal_form` passes no companion and returns the
 canonical basis alone.  `smith_normal_form` alternates Hermite forms of A
 and of its transpose, with P and Q as companions, until A is diagonal;
 since every form is reduced, P and Q stay small.  Its P and Q are one valid
-pair among many, and they changed when this algorithm replaced pivot
-elimination without reduction; d is canonical and did not change.
+pair among many; d is canonical.
 
 Two private routines work on the rows of a matrix plus N Z^n for a chosen
 N: `_smith_diagonal_mod` (gcd(d_i, N) for each invariant factor d_i, which

@@ -16,6 +16,7 @@ Two oracles that never look at the invariant factors of Z:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .indices import IndexReport
@@ -55,10 +56,11 @@ def index_by_counting(
 
     The report keeps the kernel count q^n / Sigma as its second factor.
     """
-    if y.q**y.n > cap:
-        raise CapExceeded(f"q^n = {y.q ** y.n} exceeds the cap {cap}")
+    q_n = y.q**y.n
+    if q_n > cap:
+        raise CapExceeded(f"q^n = {q_n} exceeds the cap {cap}")
     sigma = residue_image_size(y.z, y.q)
-    return IndexReport(sigma, "oracle_count", (y.q, y.q**y.n // sigma))
+    return IndexReport(sigma, "oracle_count", (y.q, q_n // sigma))
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,11 @@ class IntersectionBasis:
     """Rows of basis generate Z^n ∩ Y Z^n; index is |det basis|."""
 
     basis: IntMatrix
-    index: int
+
+    @property
+    def index(self) -> int:
+        """Product of the diagonal of the triangular basis."""
+        return math.prod(self.basis.entries[:: self.basis.cols + 1])
 
 
 def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
@@ -80,17 +86,9 @@ def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
     n, q, z = y.n, y.q, y.z
     unit = IntMatrix.identity(n)
     stacked = tuple(x for i in range(n) for x in z.row(i) + unit.row(i))
-    basis = _hermite_tail_mod(IntMatrix(n, 2 * n, stacked), q, n)
-    index = 1
-    for i in range(n):
-        index *= basis.at(i, i)
-    return IntersectionBasis(basis, index)
+    return IntersectionBasis(_hermite_tail_mod(IntMatrix(n, 2 * n, stacked), q, n))
 
 
 def index_by_hnf(y: RationalIsometry) -> IndexReport:
     basis = intersection_hnf(y)
-    return IndexReport(
-        basis.index,
-        "oracle_hnf",
-        tuple(basis.basis.at(i, i) for i in range(basis.basis.rows)),
-    )
+    return IndexReport(basis.index, "oracle_hnf", basis.basis.entries[:: y.n + 1])

@@ -28,7 +28,7 @@ def check_gram_reference(q: int, z: IntMatrix) -> None:
 
 def transpose_inverse(a: RationalIsometry) -> RationalIsometry:
     """The inverse, which for an isometry is the transpose."""
-    return RationalIsometry(a.n, a.q, a.z.transpose())
+    return RationalIsometry(a.q, a.z.transpose())
 
 
 def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:

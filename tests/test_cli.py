@@ -156,6 +156,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--matrix", str(f))
         assert code == 2
 
+    def test_unreadable_file(self, capsys, tmp_path):
+        f = tmp_path / "missing.txt"
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n"
+
 
 class TestSnf:
     def test_round_trip(self, capsys, tmp_path):
@@ -201,6 +208,13 @@ class TestSnf:
         assert parse_int_matrix("\n".join(lines[2 : m + 3])) == p
         assert parse_int_matrix("\n".join(lines[m + 4 :])) == q
 
+    def test_unreadable_file(self, capsys, tmp_path):
+        f = tmp_path / "missing.txt"
+        code, out, err = run(capsys, "snf", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n"
+
 
 class TestReflectCompose:
     def test_reflection_squared_is_identity(self, capsys, tmp_path):
@@ -215,6 +229,22 @@ class TestReflectCompose:
     def test_zero_vector(self, capsys):
         code, _, err = run(capsys, "reflect", "--vector", "0,0,0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [("reflect", "--vector", "0,0,0"), ("reflect", "--vector", ""), ("index", "--reflect", "0,0")],
+    )
+    def test_zero_or_empty_vector_message(self, capsys, args):
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err == "error: reflection axis must be nonzero\n"
+
+    def test_bad_vector(self, capsys):
+        code, out, err = run(capsys, "reflect", "--vector", "a,b")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad vector 'a,b'; expected comma-separated integers\n"
 
 
 class TestSpectrum:
@@ -254,6 +284,32 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--odd", "8")
         assert code == 2
 
+    def test_three_plain(self, capsys):
+        code, out, err = run(capsys, "decompose", "--three", "29")
+        assert code == 0
+        assert out == "29 = 5^2 + 2^2 + 0^2\n"
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--odd", "8", "expected an odd positive integer"),
+            ("--odd", "-3", "expected an odd positive integer"),
+            ("--three", "0", "expected a positive integer"),
+        ],
+    )
+    def test_out_of_range_message(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "decompose", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_needs_a_flag(self, capsys):
+        code, out, err = run(capsys, "decompose")
+        assert code == 2
+        assert out == ""
+        assert err == "error: decompose needs exactly one of --odd or --three\n"
+
 
 class TestCorpus:
     def test_deterministic_output(self, capsys):
@@ -281,6 +337,12 @@ class TestCorpus:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be a nonnegative integer, got {value}\n"
+
+    def test_bound_below_one_named(self, capsys):
+        code, out, err = run(capsys, "corpus", "--dim", "3", "--count", "2", "--seed", "1", "--bound", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: coordinate bound must be >= 1, got 0\n"
 
 
 class TestEnvCap(object):
@@ -311,7 +373,7 @@ class TestCrossCheckFailure:
         assert "Traceback" not in err
 
     def test_witness_mismatch_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(spectrum, "intersection_hnf", lambda y: IntersectionBasis(None, 0))
+        monkeypatch.setattr(spectrum, "intersection_hnf", lambda y: IntersectionBasis(IntMatrix(1, 1, (0,))))
         code, out, err = run(capsys, "spectrum", "--dim", "3", "--max", "3")
         assert code == 1
         assert out == ""

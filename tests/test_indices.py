@@ -209,7 +209,6 @@ class TestIsometryProperties:
         perm = data.draw(st.permutations(range(n)))
         signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
         p = RationalIsometry(
-            n,
             1,
             IntMatrix.from_rows(
                 [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]

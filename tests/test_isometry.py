@@ -102,7 +102,7 @@ class TestOrthogonalityCheck:
     @given(rank_one_matrices())
     def test_rank_one(self, qz):
         q, z = qz
-        assert verdict(lambda: RationalIsometry(z.rows, q, z)) == verdict(
+        assert verdict(lambda: RationalIsometry(q, z)) == verdict(
             lambda: check_gram_reference(q, z)
         )
 
@@ -110,7 +110,7 @@ class TestOrthogonalityCheck:
     @given(perturbed_reflections())
     def test_perturbed_reflection(self, qz):
         q, z = qz
-        assert verdict(lambda: RationalIsometry(z.rows, q, z)) == verdict(
+        assert verdict(lambda: RationalIsometry(q, z)) == verdict(
             lambda: check_gram_reference(q, z)
         )
 
@@ -118,7 +118,7 @@ class TestOrthogonalityCheck:
     @given(perturbed_products())
     def test_perturbed_dense_product(self, qz):
         q, z = qz
-        assert verdict(lambda: RationalIsometry(z.rows, q, z)) == verdict(
+        assert verdict(lambda: RationalIsometry(q, z)) == verdict(
             lambda: check_gram_reference(q, z)
         )
 
@@ -164,8 +164,8 @@ class TestComposeMatchesProduct:
 
     @pytest.mark.parametrize("left", [1, -1])
     def test_one_by_one(self, left):
-        a = RationalIsometry(1, 1, IntMatrix.from_rows([[left]]))
-        minus_one = RationalIsometry(1, 1, IntMatrix.from_rows([[-1]]))
+        a = RationalIsometry(1, IntMatrix.from_rows([[left]]))
+        minus_one = RationalIsometry(1, IntMatrix.from_rows([[-1]]))
         assert compose(a, minus_one) == self.product(a, minus_one)
         assert compose(a, minus_one).z == IntMatrix.from_rows([[-left]])
 
@@ -229,12 +229,12 @@ class TestFromRationalMatrix:
     )
     def test_orthogonality_checked_before_entry_gcd(self, rows, message):
         with pytest.raises(NotOrthogonal) as exc:
-            RationalIsometry(len(rows), 1, IntMatrix.from_rows(rows))
+            RationalIsometry(1, IntMatrix.from_rows(rows))
         assert str(exc.value) == message
 
     def test_orthogonal_but_not_in_lowest_terms(self):
         with pytest.raises(ValueError, match="entries of z must have gcd 1") as exc:
-            RationalIsometry(2, 2, IntMatrix.from_rows([[2, 0], [0, 2]]))
+            RationalIsometry(2, IntMatrix.from_rows([[2, 0], [0, 2]]))
         assert not isinstance(exc.value, NotOrthogonal)
 
 
@@ -318,6 +318,12 @@ class TestReflectionAxis:
         with pytest.raises(ValueError):
             ReflectionAxis((2, 4))
 
+    @pytest.mark.parametrize("coords", [(0, 0, 0), ()])
+    def test_zero_direct_construction_rejected(self, coords):
+        # gcd of a zero or empty vector is 0, so the primitive test rejects it
+        with pytest.raises(ValueError, match="axis must be primitive"):
+            ReflectionAxis(coords)
+
 
 class TestCompose:
     def test_coprime_pair_denominator(self):
@@ -380,3 +386,15 @@ class TestRandomIsometry:
             random_isometry(1, 2, 4, 0)
         with pytest.raises(ValueError):
             random_isometry(3, -1, 4, 0)
+
+    @pytest.mark.parametrize(
+        "k, bound, message",
+        [
+            (-1, 4, "reflection count must be >= 0, got -1"),
+            (2, 0, "coordinate bound must be >= 1, got 0"),
+        ],
+    )
+    def test_each_bad_argument_named(self, k, bound, message):
+        with pytest.raises(ValueError) as exc:
+            random_isometry(3, k, bound, 0)
+        assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -151,3 +152,28 @@ class TestRatMatrix:
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):
             RatMatrix(IntMatrix.from_rows([[2, 4]]), 6)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            RatMatrix.make(IntMatrix.from_rows([[1, 2]]), 0)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.one_of(
+                square_matrices(n, -30, 30),
+                st.just(IntMatrix(n, n, (0,) * (n * n))),
+                square_matrices(n).map(lambda a: IntMatrix(n, n, tuple(6 * e for e in a.entries))),
+            )
+        ),
+        st.integers(1, 60),
+        st.sampled_from((1, -1)),
+    )
+    def test_make_is_lowest_terms(self, numerator, size, sign):
+        d = sign * size
+        m = RatMatrix.make(numerator, d)
+        assert m.denominator > 0
+        assert math.gcd(m.denominator, *m.numerator.entries) == 1
+        for i in range(numerator.rows):
+            for j in range(numerator.cols):
+                assert m.entry(i, j) == Fraction(numerator.at(i, j), d)
