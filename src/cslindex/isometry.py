@@ -233,16 +233,20 @@ def random_axis(n: int, coordinate_bound: int, rng: Lcg) -> ReflectionAxis:
             return ReflectionAxis.from_coords(coords)
 
 
-def random_isometry(
-    n: int, k: int, coordinate_bound: int, seed: int
-) -> RationalIsometry:
-    """Product of k seeded random reflections with primitive axes."""
+def _check_random_params(n: int, k: int, coordinate_bound: int) -> None:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if k < 0:
         raise ValueError(f"reflection count must be >= 0, got {k}")
     if coordinate_bound < 1:
         raise ValueError(f"coordinate bound must be >= 1, got {coordinate_bound}")
+
+
+def random_isometry(
+    n: int, k: int, coordinate_bound: int, seed: int
+) -> RationalIsometry:
+    """Product of k seeded random reflections with primitive axes."""
+    _check_random_params(n, k, coordinate_bound)
     rng = Lcg(seed)
     iso = identity_isometry(n)
     for _ in range(k):
@@ -258,6 +262,8 @@ def random_corpus(
     coordinate_bound: int = 4,
 ) -> list[RationalIsometry]:
     """Deterministic corpus of products of at most max_reflections reflections."""
+    # checked here too, so that an empty corpus rejects what a nonempty one would
+    _check_random_params(n, max_reflections, coordinate_bound)
     rng = Lcg(seed)
     out = []
     for _ in range(count):

@@ -9,11 +9,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-
-# Enumerating all i x i minors is a reference oracle, not a production path;
-# refuse combinatorial blowups beyond this many minors.
-MINOR_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -61,11 +56,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             self.cols, self.rows, tuple(x for col in self.columns() for x in col)
-        )
-
-    def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.at(i, j) for j in col_idx] for i in row_idx]
         )
 
     @property
@@ -117,21 +107,6 @@ def gcd_entries(a: IntMatrix) -> int:
     g = math.gcd(*a.entries)
     if g == 0:
         raise ValueError("gcd of entries is undefined for the zero matrix")
-    return g
-
-
-def minors_gcd(a: IntMatrix, i: int) -> int:
-    """gcd of the determinants of all i x i minors, by full enumeration."""
-    if i < 1 or i > min(a.rows, a.cols):
-        raise ValueError(f"minor order {i} out of range for {a.rows}x{a.cols}")
-    if math.comb(a.rows, i) * math.comb(a.cols, i) > MINOR_BUDGET:
-        raise ValueError("too many minors to enumerate; use the normal-form route")
-    g = 0
-    for ri in combinations(range(a.rows), i):
-        for ci in combinations(range(a.cols), i):
-            g = math.gcd(g, det(a.submatrix(ri, ci)))
-    if g == 0:
-        raise ValueError(f"all {i}x{i} minors vanish")
     return g
 
 

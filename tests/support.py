@@ -1,10 +1,12 @@
 """Helpers that only the tests need."""
 
+import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 from cslindex.isometry import NotOrthogonal, RationalIsometry
-from cslindex.matrices import IntMatrix
+from cslindex.matrices import IntMatrix, det
 
 
 def check_gram_reference(q: int, z: IntMatrix) -> None:
@@ -57,3 +59,19 @@ def hnf_lattice_contains(h: IntMatrix, vec) -> bool:
         for j in range(i, n):
             residue[j] -= c * h.at(i, j)
     return all(x == 0 for x in residue)
+
+
+def minors_gcd_reference(a: IntMatrix, i: int) -> int:
+    """Reference for minors_gcd: the gcd of the determinants of all i x i minors, one by one.
+
+    Raises ValueError when i is out of range or every i x i minor is 0.
+    """
+    if i < 1 or i > min(a.rows, a.cols):
+        raise ValueError(f"minor order {i} out of range for {a.rows}x{a.cols}")
+    g = 0
+    for ri in combinations(range(a.rows), i):
+        for ci in combinations(range(a.cols), i):
+            g = math.gcd(g, det(IntMatrix.from_rows([[a.at(r, c) for c in ci] for r in ri])))
+    if g == 0:
+        raise ValueError(f"all {i}x{i} minors vanish")
+    return g

@@ -344,6 +344,15 @@ class TestCorpus:
         assert out == ""
         assert err == "error: coordinate bound must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("dim, bound", [("1", "0"), ("3", "0"), ("1", "4")])
+    def test_empty_corpus_checks_its_flags(self, capsys, dim, bound):
+        # an empty corpus rejects the flags that a nonempty one rejects, with the same message
+        flags = ["--dim", dim, "--seed", "1", "--bound", bound]
+        empty = run(capsys, "corpus", "--count", "0", *flags)
+        one = run(capsys, "corpus", "--count", "1", *flags)
+        assert empty == one
+        assert empty[:2] == (2, "")
+
 
 class TestEnvCap(object):
     def test_env_override(self, capsys, tmp_path, monkeypatch):

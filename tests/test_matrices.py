@@ -13,10 +13,10 @@ from cslindex.matrices import (
     format_rat_matrix,
     gcd_entries,
     mat_mul,
-    minors_gcd,
     parse_int_matrix,
     parse_rat_matrix,
 )
+from cslindex.normalform import minors_gcd
 from support import diagonal_matrix
 
 Z_ROT = IntMatrix.from_rows([[3, -4], [4, 3]])

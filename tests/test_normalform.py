@@ -5,15 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslindex.isometry import random_isometry
-from cslindex.matrices import IntMatrix, det, gcd_entries, mat_mul, minors_gcd
+from cslindex import normalform
+from cslindex.matrices import IntMatrix, det, gcd_entries, mat_mul
 from cslindex.normalform import (
+    MINOR_BUDGET,
     _smith_diagonal_mod,
     _xgcd,
     hermite_normal_form,
+    minors_gcd,
     smith_normal_form,
 )
 from cslindex.rng import Lcg
-from support import diagonal_matrix, hnf_lattice_contains
+from support import diagonal_matrix, hnf_lattice_contains, minors_gcd_reference
 
 
 def matrices(max_dim=4, lo=-9, hi=9, dims=None):
@@ -79,7 +82,7 @@ class TestSmithNormalForm:
         assert d == (1, 1, 25, 25)
         # cross-check each partial product against direct minor enumeration
         for i in range(1, 5):
-            assert math.prod(d[:i]) == minors_gcd(z, i)
+            assert math.prod(d[:i]) == minors_gcd_reference(z, i)
 
     def test_zero_matrix(self):
         assert check_decomposition(IntMatrix.from_rows([[0, 0], [0, 0]])).d == (0, 0)
@@ -103,9 +106,9 @@ class TestSmithNormalForm:
             prod = math.prod(dec.d[:i])
             if prod == 0:
                 with pytest.raises(ValueError):
-                    minors_gcd(a, i)
+                    minors_gcd_reference(a, i)
             else:
-                assert prod == minors_gcd(a, i)
+                assert prod == minors_gcd_reference(a, i)
 
 
     @settings(max_examples=150, deadline=None)
@@ -170,6 +173,67 @@ class TestSmithNormalForm:
         assert d[n // 2 :] == (y.q,) * (n - n // 2)
 
 
+class TestMinorsGcdAgainstEnumeration:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            matrices(max_dim=5),  # square, wide and tall
+            matrices(dims=st.tuples(st.integers(1, 3), st.integers(4, 7))),  # wide
+            matrices(dims=st.tuples(st.integers(4, 7), st.integers(1, 3))),  # tall
+        ),
+        st.integers(0, 4),
+        st.integers(-2, 2),
+    )
+    def test_matches_enumeration_at_every_order(self, a, repeats, c):
+        # c times the first row in place of the last `repeats` rows lowers the rank;
+        # for c = 0 they are zero rows
+        repeats = min(repeats, a.rows - 1)
+        rows = a.to_rows()
+        a = IntMatrix.from_rows(rows[: a.rows - repeats] + [[c * x for x in rows[0]]] * repeats)
+        for i in range(1, min(a.rows, a.cols) + 1):
+            try:
+                want = minors_gcd_reference(a, i)
+            except ValueError as exc:
+                assert "vanish" in str(exc)
+                with pytest.raises(ValueError, match="vanish"):
+                    minors_gcd(a, i)
+            else:
+                assert minors_gcd(a, i) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 6), st.integers(1, 6), st.integers(0, 10**6))
+    def test_isometry_numerators_match_enumeration(self, n, k, bound, seed):
+        z = random_isometry(n, min(k, n), bound, seed).z
+        for i in range(1, n + 1):
+            assert minors_gcd(z, i) == minors_gcd_reference(z, i)
+
+    def test_oversized_call_raises_before_any_form(self, monkeypatch):
+        def fail(rows, width):
+            raise AssertionError("a Hermite form was taken")
+
+        monkeypatch.setattr(normalform, "_echelon", fail)
+        with pytest.raises(ValueError, match="too many minors"):
+            minors_gcd(IntMatrix.identity(30), 15)
+
+    def test_blocks_run_over_the_shorter_side(self, monkeypatch):
+        # 3 x 200 has C(200, 3) > MINOR_BUDGET blocks of 3 rows of its transpose, but one of its own
+        base = IntMatrix.from_rows([[2, 0, 4, 6, 2], [4, 2, 0, 6, 8], [6, 4, 2, 0, 4]])
+        wide = IntMatrix.from_rows([row * 40 for row in base.to_rows()])
+        assert math.comb(wide.cols, 3) > MINOR_BUDGET
+        widths = []
+        echelon = normalform._echelon
+
+        def counting_echelon(rows, width):
+            widths.append(width)
+            return echelon(rows, width)
+
+        monkeypatch.setattr(normalform, "_echelon", counting_echelon)
+        # repeated columns add no new minors
+        want = minors_gcd_reference(base, 3)
+        assert minors_gcd(wide, 3) == minors_gcd(wide.transpose(), 3) == want
+        assert widths == [3, 3]
+
+
 class TestExternalReference:
     def test_invariant_factors_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -183,7 +247,8 @@ class TestExternalReference:
             if rng.integer(0, 1) and min(m, n) > 1:
                 # a product through k < min(m, n) dimensions has rank at most k
                 k = rng.integer(1, min(m, n) - 1)
-                a = mat_mul(a.submatrix(range(m), range(k)), a.submatrix(range(k), range(n)))
+                rows = a.to_rows()
+                a = mat_mul(IntMatrix.from_rows([r[:k] for r in rows]), IntMatrix.from_rows(rows[:k]))
             inputs.append(a)
         for a in inputs:
             want = invariant_factors(sympy.Matrix(a.to_rows()), domain=sympy.ZZ)
