@@ -9,7 +9,6 @@ one.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -157,17 +156,25 @@ def _cmd_compose(args) -> int:
 
 
 def _verify_reports(y: RationalIsometry, cap: int):
-    """Every route's report, and whether all agree; counting only runs under its cap."""
+    """Every route's report, whether all agree, and why counting was skipped (None if it ran).
+
+    Counting only runs under its cap.
+    """
     reports = [index_fortes(y), index_closed_form(y), index_by_hnf(y)]
-    with contextlib.suppress(CapExceeded):
+    skipped = None
+    try:
         reports.append(index_by_counting(y, cap))
-    return reports, len({r.sigma for r in reports}) == 1
+    except CapExceeded as exc:
+        skipped = exc
+    return reports, len({r.sigma for r in reports}) == 1, skipped
 
 
 def _cmd_verify(args) -> int:
     cap = _cap(args)
     y = _read_isometry(args.matrix)
-    reports, agree = _verify_reports(y, cap)
+    reports, agree, skipped = _verify_reports(y, cap)
+    if skipped is not None:
+        print(f"note: oracle_count skipped: {skipped}", file=sys.stderr)
     lines = [f"{r.method} {r.sigma}" for r in reports]
     lines.append(f"verdict {'agree' if agree else 'DISAGREE'}")
     _emit(
@@ -193,7 +200,7 @@ def _cmd_corpus(args) -> int:
     records = []
     ok = True
     for y in corpus:
-        reports, agree = _verify_reports(y, cap)
+        reports, agree, _ = _verify_reports(y, cap)
         ok = ok and agree
         records.append({"q": y.q, "sigma": reports[0].sigma, "agree": agree})
     _emit(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,18 +147,6 @@ class RatMatrix:
     def make(cls, numerator: IntMatrix, denominator: int) -> "RatMatrix":
         return cls(*_lowest_terms(numerator, denominator))
 
-    @classmethod
-    def from_fractions(cls, rows) -> "RatMatrix":
-        rows = [[Fraction(x) for x in r] for r in rows]
-        den = 1
-        for r in rows:
-            for x in r:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        num = IntMatrix.from_rows(
-            [[x.numerator * (den // x.denominator) for x in r] for r in rows]
-        )
-        return cls.make(num, den)
-
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.numerator.at(i, j), self.denominator)
 
@@ -165,7 +154,12 @@ class RatMatrix:
 # --- text format -----------------------------------------------------------
 #
 # First line: "rows cols".  Then one line per row of whitespace-separated
-# tokens; integer tokens for IntMatrix, "p/q" tokens allowed for RatMatrix.
+# tokens; integer tokens for IntMatrix.  A RatMatrix token is an integer or
+# "p/q", or any other string that Fraction accepts (decimals, exponents,
+# and on Python 3.11+ underscores between digits).
+
+# integer or p/q with unsigned q; \d matches the Unicode digits int() reads
+_RATIO_TOKEN = re.compile(r"([-+]?\d+)(?:/(\d+))?")
 
 
 def format_int_matrix(a: IntMatrix) -> str:
@@ -204,10 +198,30 @@ def parse_int_matrix(text: str) -> IntMatrix:
         raise ValueError(f"bad integer matrix: {exc}") from exc
 
 
+def _ratio(token: str) -> tuple[int, int]:
+    """(p, d) with token = p/d and d > 0, not necessarily in lowest terms.
+
+    Integers and p/q go straight to int(); every other token, and p/0, goes
+    through Fraction, which accepts the same p and q and gives every error.
+    """
+    m = _RATIO_TOKEN.fullmatch(token)
+    if m:
+        p, d = m.groups()
+        p = int(p)
+        d = 1 if d is None else int(d)
+        if d:
+            return p, d
+    f = Fraction(token)
+    return f.numerator, f.denominator
+
+
 def parse_rat_matrix(text: str) -> RatMatrix:
     body = _parse_header_and_tokens(text)
     try:
-        return RatMatrix.from_fractions([[Fraction(t) for t in row] for row in body])
+        ratios = [[_ratio(t) for t in row] for row in body]
+        den = math.lcm(*(d for row in ratios for _, d in row))
+        num = IntMatrix.from_rows([[p * (den // d) for p, d in row] for row in ratios])
+        return RatMatrix.make(num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational matrix: {exc}") from exc
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from cslindex.isometry import NotOrthogonal, RationalIsometry
-from cslindex.matrices import IntMatrix, det
+from cslindex.matrices import IntMatrix, RatMatrix, _parse_header_and_tokens, det
 
 
 def check_gram_reference(q: int, z: IntMatrix) -> None:
@@ -75,3 +75,15 @@ def minors_gcd_reference(a: IntMatrix, i: int) -> int:
     if g == 0:
         raise ValueError(f"all {i}x{i} minors vanish")
     return g
+
+
+def parse_rat_matrix_reference(text: str) -> RatMatrix:
+    """Reference for parse_rat_matrix: every token through Fraction's string parser."""
+    body = _parse_header_and_tokens(text)
+    try:
+        rows = [[Fraction(t) for t in row] for row in body]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        num = IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in row] for row in rows])
+        return RatMatrix.make(num, den)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational matrix: {exc}") from exc

@@ -12,6 +12,8 @@ from support import diagonal_matrix
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
+# the reflection along (1, 1, 1)
+REF3 = "3 3\n1/3 -2/3 -2/3\n-2/3 1/3 -2/3\n-2/3 -2/3 1/3\n"
 ONE = "1 1\n-1\n"
 
 
@@ -98,6 +100,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--matrix", str(f), "--cap", "10")
         assert code == 0
         assert "oracle_count" not in out
+
+    @pytest.mark.parametrize(
+        "flag, stdout",
+        [
+            ([], "fortes 5\nclosed_form 5\noracle_hnf 5\nverdict agree\n"),
+            (["--json"], '{"agree": true, "methods": {"closed_form": 5, "fortes": 5, "oracle_hnf": 5}}\n'),
+        ],
+    )
+    def test_skipped_counting_noted_on_stderr(self, capsys, tmp_path, flag, stdout):
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, err = run(capsys, "verify", "--matrix", str(f), "--cap", "10", *flag)
+        assert code == 0
+        assert out == stdout
+        assert err == "note: oracle_count skipped: q^n = 25 exceeds the cap 10\n"
+
+    def test_no_note_when_counting_runs(self, capsys, tmp_path):
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, err = run(capsys, "verify", "--matrix", str(f), "--cap", "25")
+        assert code == 0
+        assert "oracle_count 5" in out
+        assert err == ""
 
     def test_smith_form_once_per_isometry(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -326,6 +351,11 @@ class TestCorpus:
         records = json.loads(raw)
         assert [f"q={r['q']} sigma={r['sigma']} agree=yes" for r in records] == plain.splitlines()
 
+    def test_skipped_counting_not_noted(self, capsys):
+        # a corpus keeps stderr quiet; only verify names the skipped oracle
+        code, _, err = run(capsys, "corpus", "--dim", "3", "--count", "5", "--seed", "7", "--cap", "1")
+        assert code == 0
+        assert err == ""
 
     @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--reflections", "-2")])
     def test_negative_size_rejected(self, capsys, flag, value):
@@ -373,11 +403,23 @@ class TestEnvCap(object):
 
 class TestCrossCheckFailure:
     def test_closed_form_mismatch_exits_one(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(indices, "minors_gcd", lambda z, m: 0)
+        # even n takes delta_m from the row blocks that hold row 0
+        monkeypatch.setattr(indices, "_row_blocks_minors_gcd", lambda z, m, holding_row_0: 0)
         f = tmp_path / "rot.txt"
         f.write_text(ROT)
         code, out, err = run(capsys, "index", "--matrix", str(f))
         assert code == 1
+        assert err.startswith("error: invariant-factor product disagrees")
+        assert "Traceback" not in err
+
+    def test_closed_form_mismatch_exits_one_odd_n(self, capsys, tmp_path, monkeypatch):
+        # odd n takes delta_m from minors_gcd, over every row block
+        monkeypatch.setattr(indices, "minors_gcd", lambda z, m: 0)
+        f = tmp_path / "ref3.txt"
+        f.write_text(REF3)
+        code, out, err = run(capsys, "index", "--matrix", str(f))
+        assert code == 1
+        assert out == ""
         assert err.startswith("error: invariant-factor product disagrees")
         assert "Traceback" not in err
 

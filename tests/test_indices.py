@@ -24,9 +24,9 @@ from cslindex.isometry import (
     reflection,
 )
 from cslindex.matrices import IntMatrix, RatMatrix
-from cslindex.normalform import smith_normal_form
+from cslindex.normalform import _row_blocks_minors_gcd, smith_normal_form
 from cslindex.oracle import CapExceeded, index_by_counting, index_by_hnf
-from support import transpose_inverse
+from support import minors_gcd_reference, transpose_inverse
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -69,6 +69,29 @@ class TestClosedForm:
         for n in (2, 3, 4, 5):
             for y in random_corpus(n, 15, 300 + n):
                 assert index_fortes(y).sigma == index_closed_form(y).sigma
+
+    @staticmethod
+    def even_route(y):
+        """delta_m as the closed form's cross-check takes it for even n."""
+        return _row_blocks_minors_gcd(y.z, y.n // 2, holding_row_0=True)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_even_route_on_identity_and_reflections(self, n):
+        for y in [
+            identity_isometry(n),
+            reflection((1,) * n),
+            reflection((1, 2) + (0,) * (n - 2)),
+            reflection((3,) + (1,) * (n - 1)),
+        ]:
+            assert self.even_route(y) == minors_gcd_reference(y.z, n // 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4, 6, 8]), st.integers(0, 5), st.integers(1, 5), st.integers(0, 10**6))
+    def test_even_route_matches_enumeration(self, n, k, bound, seed):
+        # over the row blocks that hold row 0 only: Jacobi's identity pairs each
+        # block with its complement
+        y = random_isometry(n, k, bound, seed)
+        assert self.even_route(y) == minors_gcd_reference(y.z, n // 2)
 
 
 class TestReflectionFormula:

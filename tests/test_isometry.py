@@ -16,7 +16,7 @@ from cslindex.isometry import (
     random_isometry,
     reflection,
 )
-from cslindex.matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul
+from cslindex.matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul, parse_rat_matrix
 from support import check_gram_reference, transpose_inverse
 
 
@@ -181,7 +181,7 @@ class TestFromRationalMatrix:
         assert y.q == 5 and y.z == z
 
     def test_canonicalizes_scaled_input(self):
-        scaled = RatMatrix.from_fractions([["6/10", "-8/10"], ["8/10", "6/10"]])
+        scaled = parse_rat_matrix("2 2\n6/10 -8/10\n8/10 6/10\n")
         y = from_rational_matrix(scaled)
         assert y.q == 5
         assert y.z == IntMatrix.from_rows([[3, -4], [4, 3]])

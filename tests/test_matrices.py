@@ -17,9 +17,48 @@ from cslindex.matrices import (
     parse_rat_matrix,
 )
 from cslindex.normalform import minors_gcd
-from support import diagonal_matrix
+from support import diagonal_matrix, parse_rat_matrix_reference
 
 Z_ROT = IntMatrix.from_rows([[3, -4], [4, 3]])
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth digits: int() and Fraction read all four
+DIGITS = "0123456789" + "٠١٢٣٤٥٦٧٨٩" + "०१२३४५६७८९" + "０１２３４５６７８９"
+
+
+def _tokens():
+    """Matrix entries: integers and p/q with signs, leading zeros, zero denominators,
+    decimals, exponents, underscores, non-ASCII digits, and malformed strings."""
+    sign = st.sampled_from(["", "-", "+"])
+    ascii_digits = st.text("0123456789", min_size=1, max_size=5)
+    any_digits = st.one_of(ascii_digits, st.text(DIGITS, min_size=1, max_size=4))
+    integer = st.tuples(sign, any_digits).map("".join)
+    ratio = st.tuples(integer, any_digits).map("/".join)
+    decimal = st.tuples(sign, st.text("0123456789", max_size=3), st.text("0123456789", max_size=3)).map(
+        lambda t: f"{t[0]}{t[1]}.{t[2]}"
+    )
+    exponent = st.tuples(st.one_of(integer, decimal), st.sampled_from("eE"), sign, st.integers(0, 3)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}"
+    )
+    underscored = st.lists(ascii_digits, min_size=1, max_size=3).map("_".join).flatmap(
+        lambda t: st.sampled_from([t, f"_{t}", f"{t}_", t.replace("_", "__"), f"{t}/1_0"])
+    )
+    malformed = st.one_of(
+        st.sampled_from(["x", "1/", "/2", "1//2", "--1", "+-1", "3/-5", "1/2/3", "nan", "inf", "0x10", "1.2.3", "e5", "/"]),
+        st.text("0123456789-+/._eE", min_size=1, max_size=6),
+    )
+    return st.one_of(integer, ratio, decimal, exponent, underscored, malformed)
+
+
+def assert_parses_like_reference(text):
+    """parse_rat_matrix gives the reference's RatMatrix, or a ValueError with the same text."""
+    try:
+        want = parse_rat_matrix_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_rat_matrix(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_rat_matrix(text) == want
 
 
 def square_matrices(n, lo=-9, hi=9):
@@ -136,6 +175,26 @@ class TestTextFormat:
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_rat_matrix(text)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda cols: st.lists(st.lists(_tokens(), min_size=cols, max_size=cols), min_size=1, max_size=3)
+        )
+    )
+    def test_rat_matches_fraction_parser(self, grid):
+        assert_parses_like_reference(
+            f"{len(grid)} {len(grid[0])}\n" + "".join(" ".join(row) + "\n" for row in grid)
+        )
+
+    @pytest.mark.parametrize(
+        "token",
+        ["3/-5", "3/0", "0/0", "1/00", "1.5", "1e3", "1_000", "٣/٥", "0005/0010", "-0/7", "+12/08"]
+        # past int()'s default limit of 4300 digits
+        + [pytest.param("1" * 5000, id="5000-digit"), pytest.param("1/" + "2" * 5000, id="5000-digit-q")],
+    )
+    def test_rat_edge_token_matches_fraction_parser(self, token):
+        assert_parses_like_reference(f"1 2\n{token} 1/3\n")
 
 
 class TestRatMatrix:
