@@ -23,7 +23,6 @@ from .isometry import (
 from .matrices import (
     IntMatrix,
     RatMatrix,
-    det,
     format_int_matrix,
     format_rat_matrix,
     gcd_entries,
@@ -33,7 +32,6 @@ from .matrices import (
 )
 from .normalform import (
     SmithDecomposition,
-    hermite_normal_form,
     minors_gcd,
     smith_normal_form,
 )
@@ -74,13 +72,11 @@ __all__ = [
     "WitnessNotFound",
     "compose",
     "coprime_witness",
-    "det",
     "format_int_matrix",
     "format_rat_matrix",
     "four_square_odd_decompose",
     "from_rational_matrix",
     "gcd_entries",
-    "hermite_normal_form",
     "identity_isometry",
     "index_by_counting",
     "index_by_hnf",

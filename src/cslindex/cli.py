@@ -302,9 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Sigma and its factors print exactly at any size; the library, and code
+    # that calls main in process, keep Python's limit (absent before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # InputError and every other custom error
         print(f"error: {exc}", file=sys.stderr)
@@ -312,6 +316,9 @@ def main(argv=None) -> int:
     except CrossCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

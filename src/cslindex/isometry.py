@@ -8,7 +8,8 @@ Every RationalIsometry decides Z^T Z = q^2 I exactly, by one of two routes.
 A reflection has Z = qI - r v v^T with v primitive; that shape is found and
 confirmed in O(n^2), and then Z^T Z = q^2 I is equivalent to r v^T v = 2q.
 Every other matrix gets a Gram check with one packed integer per row
-(Kronecker substitution).  `compose` multiplies by a reflection in O(n^2).
+(Kronecker substitution).  `compose` multiplies any number of factors, each
+reflection in O(n^2), and checks only the product: one check per product.
 """
 
 from __future__ import annotations
@@ -146,11 +147,6 @@ def identity_isometry(n: int) -> RationalIsometry:
     return RationalIsometry(1, IntMatrix.identity(n))
 
 
-def _canonical(q: int, z: IntMatrix) -> RationalIsometry:
-    z, q = _lowest_terms(z, q)
-    return RationalIsometry(q, z)
-
-
 def from_rational_matrix(m: RatMatrix) -> RationalIsometry:
     """Validate an exact rational matrix, already in lowest terms, as an isometry."""
     return RationalIsometry(m.denominator, m.numerator)
@@ -209,21 +205,26 @@ def reflection(v) -> RationalIsometry:
     return RationalIsometry(q, IntMatrix(n, n, _scaled_identity_minus_rank_one(q, h, a)))
 
 
-def compose(a: RationalIsometry, b: RationalIsometry) -> RationalIsometry:
-    """Canonical form of the product a * b."""
-    if a.n != b.n:
+def compose(a: RationalIsometry, *factors: RationalIsometry) -> RationalIsometry:
+    """a * f_1 * ... * f_k in lowest terms, checked once: no partial product reaches a caller."""
+    if any(b.n != a.n for b in factors):
         raise ValueError("dimension mismatch")
-    rank_one = b._rank_one
-    if rank_one is None:
-        return _canonical(a.q * b.q, mat_mul(a.z, b.z))
-    # a.z (q I - r v v^T) = q a.z - r (a.z v) v^T, exact and O(n^2)
-    v, r = rank_one
-    product = []
-    for i in range(a.n):
-        row = a.z.row(i)
-        t = r * sum(map(operator.mul, row, v))
-        product.extend(map(operator.sub, map(b.q.__mul__, row), map(t.__mul__, v)))
-    return _canonical(a.q * b.q, IntMatrix(a.n, a.n, tuple(product)))
+    q, z = a.q, a.z
+    for b in factors:
+        rank_one = b._rank_one
+        if rank_one is None:
+            z = mat_mul(z, b.z)
+        else:
+            # z (q_b I - r v v^T) = q_b z - r (z v) v^T, exact and O(n^2)
+            v, r = rank_one
+            product = []
+            for i in range(a.n):
+                row = z.row(i)
+                t = r * sum(map(operator.mul, row, v))
+                product.extend(map(operator.sub, map(b.q.__mul__, row), map(t.__mul__, v)))
+            z = IntMatrix(a.n, a.n, tuple(product))
+        z, q = _lowest_terms(z, q * b.q)
+    return RationalIsometry(q, z)
 
 
 def random_axis(n: int, coordinate_bound: int, rng: Lcg) -> ReflectionAxis:
@@ -248,10 +249,9 @@ def random_isometry(
     """Product of k seeded random reflections with primitive axes."""
     _check_random_params(n, k, coordinate_bound)
     rng = Lcg(seed)
-    iso = identity_isometry(n)
-    for _ in range(k):
-        iso = compose(iso, reflection(random_axis(n, coordinate_bound, rng)))
-    return iso
+    return compose(
+        identity_isometry(n), *(reflection(random_axis(n, coordinate_bound, rng)) for _ in range(k))
+    )
 
 
 def random_corpus(

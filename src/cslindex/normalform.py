@@ -1,14 +1,12 @@
 """Smith and Hermite normal forms over the integers.
 
-Both public algorithms use elementary (unimodular) row operations only, on
-A or on its transpose, and share one routine, `_echelon`: it inserts rows
-one at a time into a row echelon form that it keeps reduced (Kannan &
-Bachem 1979), and applies every step to a companion block after the
-matrix.  `hermite_normal_form` passes no companion and returns the
-canonical basis alone.  `smith_normal_form` alternates Hermite forms of A
-and of its transpose, with P and Q as companions, until A is diagonal;
-since every form is reduced, P and Q stay small.  Its P and Q are one valid
-pair among many; d is canonical.
+`smith_normal_form` uses elementary (unimodular) row operations only, on A
+or on its transpose, through one routine, `_echelon`: it inserts rows one
+at a time into a row echelon form that it keeps reduced (Kannan & Bachem
+1979), and applies every step to a companion block after the matrix.  It
+alternates Hermite forms of A and of its transpose, with P and Q as
+companions, until A is diagonal; since every form is reduced, P and Q stay
+small.  Its P and Q are one valid pair among many; d is canonical.
 
 `minors_gcd` takes the gcd of the i x i minors from Hermite forms of blocks
 of i rows, one `_echelon` per block (`_row_blocks_minors_gcd`).
@@ -343,22 +341,3 @@ def _hermite_tail_mod(a: IntMatrix, modulus: int, lead: int) -> IntMatrix:
                 bi[j] -= c * bj[j]
                 bi[j + 1 :] = [(e - c * f) % N for e, f in zip(bi[j + 1 :], bj[j + 1 :])]
     return IntMatrix(k, k, tuple(x for row in kept for x in row))
-
-
-def hermite_normal_form(a: IntMatrix) -> IntMatrix:
-    """Canonical row-style Hermite normal form of a full-column-rank matrix.
-
-    The result keeps only the nonzero rows: the canonical basis of the row
-    lattice of a.
-    """
-    if a.rows < a.cols:
-        raise ValueError("hermite_normal_form expects rows >= cols")
-    rows = _echelon(a.to_rows(), a.cols)
-    rank = sum(1 for r in rows if any(r))
-    if rank < a.cols:
-        raise ValueError(f"rank-deficient input: rank {rank} < {a.cols} columns")
-    # each row ends reduced by every row below it, taken in increasing order
-    for i in range(rank):
-        for k in range(i + 1, rank):
-            _reduce(rows[i], rows[k], k)
-    return IntMatrix.from_rows(rows[:rank])

@@ -58,7 +58,8 @@ def index_by_counting(
     """
     q_n = y.q**y.n
     if q_n > cap:
-        raise CapExceeded(f"q^n = {q_n} exceeds the cap {cap}")
+        # q^n may be too long for str(), so the text names its parts
+        raise CapExceeded(f"q^n exceeds the cap {cap} (n = {y.n}, q has {y.q.bit_length()} bits)")
     sigma = residue_image_size(y.z, y.q)
     return IndexReport(sigma, "oracle_count", (y.q, q_n // sigma))
 

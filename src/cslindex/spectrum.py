@@ -142,9 +142,7 @@ def _verified_witness(
     # on the coordinates S the axes use; outside S the product is I, so Sigma(Y) = Sigma(Y_S)
     support = sorted({i for axis in axes for i, c in enumerate(axis.coords) if c})
     on_support = [ReflectionAxis(tuple(axis.coords[i] for i in support)) for axis in axes]
-    iso = reflection(on_support[0]) if axes else identity_isometry(1)
-    for axis in on_support[1:]:
-        iso = compose(iso, reflection(axis))
+    iso = compose(*map(reflection, on_support)) if axes else identity_isometry(1)
     got = intersection_hnf(iso).index
     if got != sigma:
         raise CrossCheckFailed(f"witness verification failed: oracle says {got}, wanted {sigma}")

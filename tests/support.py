@@ -6,7 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from cslindex.isometry import NotOrthogonal, RationalIsometry
-from cslindex.matrices import IntMatrix, RatMatrix, _parse_header_and_tokens, det
+from cslindex.matrices import IntMatrix, RatMatrix, _parse_header_and_tokens
+from cslindex.normalform import _echelon, _reduce
 
 
 def check_gram_reference(q: int, z: IntMatrix) -> None:
@@ -87,3 +88,68 @@ def parse_rat_matrix_reference(text: str) -> RatMatrix:
         return RatMatrix.make(num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational matrix: {exc}") from exc
+
+
+def det(a: IntMatrix) -> int:
+    """Reference determinant by fraction-free (Bareiss) elimination."""
+    if not a.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact by the Bareiss identity
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Reference Hermite normal form, row style, of a full-column-rank matrix.
+
+    The result keeps only the nonzero rows: the canonical basis of the row
+    lattice of a.
+    """
+    if a.rows < a.cols:
+        raise ValueError("hermite_normal_form expects rows >= cols")
+    rows = _echelon(a.to_rows(), a.cols)
+    rank = sum(1 for r in rows if any(r))
+    if rank < a.cols:
+        raise ValueError(f"rank-deficient input: rank {rank} < {a.cols} columns")
+    # each row ends reduced by every row below it, taken in increasing order
+    for i in range(rank):
+        for k in range(i + 1, rank):
+            _reduce(rows[i], rows[k], k)
+    return IntMatrix.from_rows(rows[:rank])
+
+
+def rotation_direct_sum(copies: int) -> tuple[str, int]:
+    """Text of the direct sum of `copies` equal 2 x 2 rotations, and the hypotenuse c.
+
+    The rotation is (1/c) [[a, -b], [b, a]] for the primitive triple
+    (m^2 - 1, 2m, m^2 + 1) with m = 10^150, so c has 301 digits.  A 2 x 2
+    rotation has index c, and indices of a direct sum multiply, so
+    Sigma = c^copies: 4,501 digits at 15 copies, past the 4,300 that
+    Python converts between int and str by default.
+    """
+    m = 10**150
+    a, b, c = m * m - 1, 2 * m, m * m + 1
+    n = 2 * copies
+    rows = [["0"] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        rows[k][k] = rows[k + 1][k + 1] = f"{a}/{c}"
+        rows[k][k + 1], rows[k + 1][k] = f"{-b}/{c}", f"{b}/{c}"
+    return f"{n} {n}\n" + "".join(" ".join(row) + "\n" for row in rows), c

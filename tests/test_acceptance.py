@@ -30,7 +30,7 @@ from cslindex.isometry import (
     random_corpus,
     reflection,
 )
-from cslindex.matrices import IntMatrix, det, gcd_entries, mat_mul
+from cslindex.matrices import IntMatrix, gcd_entries, mat_mul
 from cslindex.normalform import smith_normal_form
 from cslindex.oracle import index_by_counting, index_by_hnf
 from cslindex.rng import Lcg
@@ -40,7 +40,7 @@ from cslindex.spectrum import (
     reflection_spectrum,
     three_square_decompose,
 )
-from support import diagonal_matrix, minors_gcd_reference
+from support import det, diagonal_matrix, minors_gcd_reference
 
 RESIDUE_CAP = 10**7
 CORPUS_SEED = 20240901

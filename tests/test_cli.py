@@ -1,14 +1,16 @@
 import json
+import sys
 import time
+from decimal import Decimal
 
 import pytest
 
 from cslindex import indices, isometry, spectrum
 from cslindex.cli import main
-from cslindex.matrices import IntMatrix, det, mat_mul, parse_int_matrix
+from cslindex.matrices import IntMatrix, mat_mul, parse_int_matrix
 from cslindex.normalform import _smith_diagonal_mod
 from cslindex.oracle import IntersectionBasis
-from support import diagonal_matrix
+from support import det, diagonal_matrix, rotation_direct_sum
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
@@ -114,7 +116,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--matrix", str(f), "--cap", "10", *flag)
         assert code == 0
         assert out == stdout
-        assert err == "note: oracle_count skipped: q^n = 25 exceeds the cap 10\n"
+        assert err == "note: oracle_count skipped: q^n exceeds the cap 10 (n = 2, q has 3 bits)\n"
 
     def test_no_note_when_counting_runs(self, capsys, tmp_path):
         f = tmp_path / "rot.txt"
@@ -382,6 +384,62 @@ class TestCorpus:
         one = run(capsys, "corpus", "--count", "1", *flags)
         assert empty == one
         assert empty[:2] == (2, "")
+
+
+class TestLargeSigma:
+    """Sigma past Python's default limit of 4,300 digits for int to str prints exactly."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        text, c = rotation_direct_sum(15)
+        f = tmp_path / "big.txt"
+        f.write_text(text)
+        return str(f), str(Decimal(c**15))  # Decimal, unlike str on an int, has no digit limit
+
+    def test_index(self, capsys, big):
+        path, sigma = big
+        code, out, err = run(capsys, "index", "--matrix", path)
+        assert (code, err) == (0, "")
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            [f"sigma={sigma}", "method=fortes"],
+            [f"sigma={sigma}", "method=closed_form"],
+        ]
+
+    def test_index_json(self, capsys, big):
+        path, sigma = big
+        code, out, err = run(capsys, "index", "--matrix", path, "--json")
+        assert (code, err) == (0, "")
+        assert out.startswith('{"closed_form": {"factors": [')
+        assert out.count(f'"sigma": {sigma}}}') == 2
+
+    @pytest.mark.parametrize(
+        "flag, stdout",
+        [
+            ([], "fortes {s}\nclosed_form {s}\noracle_hnf {s}\nverdict agree\n"),
+            (["--json"], '{{"agree": true, "methods": {{"closed_form": {s}, "fortes": {s}, "oracle_hnf": {s}}}}}\n'),
+        ],
+        ids=["plain", "json"],
+    )
+    def test_verify(self, capsys, big, flag, stdout):
+        path, sigma = big
+        code, out, err = run(capsys, "verify", "--matrix", path, *flag)
+        assert code == 0
+        assert out == stdout.format(s=sigma)
+        assert err == "note: oracle_count skipped: q^n exceeds the cap 10000000 (n = 30, q has 997 bits)\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7")
+    def test_limit_restored_after_main(self, capsys, big):
+        before = sys.get_int_max_str_digits()
+        run(capsys, "index", "--matrix", big[0])
+        assert sys.get_int_max_str_digits() == before
+
+    def test_corpus_past_the_limit(self, capsys):
+        # q^48 has 4,826 digits here
+        code, out, err = run(
+            capsys, "corpus", "--dim", "48", "--count", "1", "--seed", "3", "--reflections", "48", "--bound", "8"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("q=") and out.endswith(" agree=yes\n")
 
 
 class TestEnvCap(object):

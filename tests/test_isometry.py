@@ -1,10 +1,12 @@
 import math
+from functools import reduce
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cslindex import isometry
 from cslindex.isometry import (
     NotOrthogonal,
     RationalIsometry,
@@ -168,6 +170,68 @@ class TestComposeMatchesProduct:
         minus_one = RationalIsometry(1, IntMatrix.from_rows([[-1]]))
         assert compose(a, minus_one) == self.product(a, minus_one)
         assert compose(a, minus_one).z == IntMatrix.from_rows([[-left]])
+
+
+# linearly independent axes: a product of k of them fixes only a space of dimension 4 - k,
+# so for k >= 2 it is not a reflection and takes the packed Gram check
+CHAIN_AXES = ((1, 2, 0, 1), (0, 1, 3, 1), (2, 0, 1, 1), (1, 1, 1, 2))
+
+
+class TestComposeChain:
+    """compose(a, f_1, ..., f_k) multiplies left to right and checks the product once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 16).flatmap(
+            lambda n: st.tuples(right_factors(n), st.lists(right_factors(n), max_size=4))
+        )
+    )
+    def test_equals_fold_of_pairs(self, chain):
+        a, factors = chain
+        product = compose(a, *factors)
+        assert product == reduce(compose, factors, a)
+        assert product == reduce(TestComposeMatchesProduct.product, factors, a)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_product_of_reflections_checked_once(self, monkeypatch, k):
+        factors = [reflection(v) for v in CHAIN_AXES[:k]]
+        checked = []
+        check_gram = RationalIsometry._check_gram
+        monkeypatch.setattr(RationalIsometry, "_check_gram", lambda y: checked.append(y) or check_gram(y))
+        product = compose(*factors)
+        assert checked == [product]
+
+    @pytest.mark.parametrize("last", ["reflection", "dense"])
+    def test_corrupted_product_rejected(self, monkeypatch, last):
+        factors = [reflection(v) for v in CHAIN_AXES[:3]]
+        factors.append(reflection(CHAIN_AXES[3]) if last == "reflection" else random_isometry(4, 3, 4, 11))
+        lowest_terms = isometry._lowest_terms
+        calls = []
+
+        def corrupt_last(z, q):
+            z, q = lowest_terms(z, q)
+            calls.append(z)
+            if len(calls) == len(factors) - 1:  # the step that makes the final product
+                z = IntMatrix(z.rows, z.cols, (z.entries[0] + 1,) + z.entries[1:])
+            return z, q
+
+        monkeypatch.setattr(isometry, "_lowest_terms", corrupt_last)
+        with pytest.raises(NotOrthogonal):
+            compose(*factors)
+        assert len(calls) == len(factors) - 1
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_dimension_mismatch_in_any_position(self, position):
+        chain = [reflection(v) for v in CHAIN_AXES]
+        chain[position] = identity_isometry(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compose(*chain)
+
+    @pytest.mark.parametrize(
+        "a", [identity_isometry(3), reflection((1, 2, 2)), random_isometry(4, 3, 4, 5)], ids=["identity", "reflection", "dense"]
+    )
+    def test_single_factor_is_itself(self, a):
+        assert compose(a) == a
 
 
 class TestFromRationalMatrix:

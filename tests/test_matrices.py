@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cslindex.matrices import (
     IntMatrix,
     RatMatrix,
-    det,
     format_int_matrix,
     format_rat_matrix,
     gcd_entries,
@@ -17,7 +16,7 @@ from cslindex.matrices import (
     parse_rat_matrix,
 )
 from cslindex.normalform import minors_gcd
-from support import diagonal_matrix, parse_rat_matrix_reference
+from support import det, diagonal_matrix, parse_rat_matrix_reference
 
 Z_ROT = IntMatrix.from_rows([[3, -4], [4, 3]])
 

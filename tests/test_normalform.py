@@ -6,17 +6,16 @@ from hypothesis import strategies as st
 
 from cslindex.isometry import random_isometry
 from cslindex import normalform
-from cslindex.matrices import IntMatrix, det, gcd_entries, mat_mul
+from cslindex.matrices import IntMatrix, gcd_entries, mat_mul
 from cslindex.normalform import (
     MINOR_BUDGET,
     _smith_diagonal_mod,
     _xgcd,
-    hermite_normal_form,
     minors_gcd,
     smith_normal_form,
 )
 from cslindex.rng import Lcg
-from support import diagonal_matrix, hnf_lattice_contains, minors_gcd_reference
+from support import det, diagonal_matrix, hermite_normal_form, hnf_lattice_contains, minors_gcd_reference
 
 
 def matrices(max_dim=4, lo=-9, hi=9, dims=None):

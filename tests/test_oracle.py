@@ -18,8 +18,7 @@ from cslindex.isometry import (
     random_isometry,
     reflection,
 )
-from cslindex.matrices import IntMatrix, RatMatrix, mat_mul
-from cslindex.normalform import hermite_normal_form
+from cslindex.matrices import IntMatrix, RatMatrix, mat_mul, parse_rat_matrix
 from cslindex.oracle import (
     CapExceeded,
     index_by_counting,
@@ -27,7 +26,7 @@ from cslindex.oracle import (
     intersection_hnf,
     residue_image_size,
 )
-from support import hnf_lattice_contains
+from support import hermite_normal_form, hnf_lattice_contains, rotation_direct_sum
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -59,6 +58,13 @@ class TestCounting:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             index_by_counting(ROT_4D, cap=100)
+
+    def test_cap_when_q_n_is_too_long_for_str(self):
+        # q^30 has about 9,000 digits, past Python's default int-to-str limit
+        y = from_rational_matrix(parse_rat_matrix(rotation_direct_sum(15)[0]))
+        with pytest.raises(CapExceeded) as exc:
+            index_by_counting(y)
+        assert str(exc.value) == "q^n exceeds the cap 10000000 (n = 30, q has 997 bits)"
 
     def test_solution_count_direct(self):
         # brute force over all 25 residue pairs, written out independently
