@@ -44,6 +44,8 @@ from .spectrum import (
 )
 
 CAP_ENV_VAR = "CSLINDEX_CAP"
+# the index formulas, by --method name, in the order index and verify report them
+_FORMULAS = {"fortes": index_fortes, "closed": index_closed_form}
 
 
 class InputError(ValueError):
@@ -113,12 +115,11 @@ def _cmd_index(args) -> int:
         )
         return 0
     y = _read_isometry(args.matrix)
-    methods = {"fortes": index_fortes, "closed": index_closed_form}
-    wanted = list(methods) if args.method in (None, "all") else [args.method]
+    wanted = list(_FORMULAS) if args.method in (None, "all") else [args.method]
     lines = []
     payload = {}
     for name in wanted:
-        report = methods[name](y)
+        report = _FORMULAS[name](y)
         lines.append(f"sigma={report.sigma} method={report.method} factors={list(report.factors)}")
         payload[report.method] = {"sigma": report.sigma, "factors": list(report.factors)}
     _emit(args, lines, payload)
@@ -152,7 +153,12 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    return _emit_isometry(args, compose(_read_isometry(args.left), _read_isometry(args.right)))
+    left, right = _read_isometry(args.left), _read_isometry(args.right)
+    try:
+        product = compose(left, right)
+    except ValueError as exc:
+        raise InputError(f"{args.left}, {args.right}: {exc}")
+    return _emit_isometry(args, product)
 
 
 def _verify_reports(y: RationalIsometry, cap: int):
@@ -160,7 +166,7 @@ def _verify_reports(y: RationalIsometry, cap: int):
 
     Counting only runs under its cap.
     """
-    reports = [index_fortes(y), index_closed_form(y), index_by_hnf(y)]
+    reports = [formula(y) for formula in _FORMULAS.values()] + [index_by_hnf(y)]
     skipped = None
     try:
         reports.append(index_by_counting(y, cap))
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("index", _cmd_index, "compute Sigma by formula")
     p.add_argument("--matrix", help="rational matrix file")
     p.add_argument("--reflect", help="axis vector, e.g. 1,1,1")
-    p.add_argument("--method", choices=["fortes", "closed", "all"])  # --matrix only; all by default
+    p.add_argument("--method", choices=[*_FORMULAS, "all"])  # --matrix only; all by default
 
     p = add("snf", _cmd_snf, "Smith normal form with transforms")
     p.add_argument("matrix", help="integer matrix file")
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run all formulas and oracles, compare")
     p.add_argument("--matrix", required=True, help="rational matrix file")
-    p.add_argument("--cap", type=int, help="residue cap for the counting oracle")
+    p.add_argument("--cap", help="residue cap for the counting oracle")
 
     p = add("corpus", _cmd_corpus, "seeded random corpus with cross-validation")
     p.add_argument("--dim", type=int, required=True)
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--reflections", type=int, default=3, help="max reflections per element")
     p.add_argument("--bound", type=int, default=4, help="axis coordinate bound")
-    p.add_argument("--cap", type=int, help="residue cap for the counting oracle")
+    p.add_argument("--cap", help="residue cap for the counting oracle")
 
     p = add("spectrum", _cmd_spectrum, "attainable reflection indices with witnesses")
     p.add_argument("--dim", type=int, required=True)

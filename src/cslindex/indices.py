@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .isometry import CrossCheckFailed, RationalIsometry, ReflectionAxis
-from .normalform import _row_blocks_minors_gcd, minors_gcd
+from .normalform import _row_blocks_minors_gcd
 
 # delta_m is cross-checked up to this dimension: at n = 8, C(7,3) = 35 Hermite
 # forms of 4 x 8 row blocks, 2.8-3.3 ms per isometry against 78-116 ms for all 4900
@@ -67,21 +67,18 @@ def index_closed_form(y: RationalIsometry) -> IndexReport:
     delta_m (the gcd of the m x m minors of Z) is taken as the product of
     the first m invariant factors.  For n <= 8 the value is cross-checked
     against the gcd taken from Hermite forms of blocks of m rows of Z, which
-    never reads the Smith diagonal: over all C(n, m) blocks for odd n
-    (`minors_gcd`), over the C(n - 1, m - 1) blocks that hold row 0 for
-    even n.  For n = 1, m = 0 and delta_0 = 1, the empty product, so there
-    is nothing to cross-check.
+    never reads the Smith diagonal: over all C(n, m) blocks for odd n, over
+    the C(n - 1, m - 1) blocks that hold row 0 for even n, in one call
+    (no check of `minors_gcd` can fire on an isometry).  For n = 1, m = 0
+    and delta_0 = 1, the empty product, so there is nothing to cross-check.
     """
     m = y.n // 2
     delta_m = math.prod(y.invariant_factors[:m])
     if 0 < m and y.n <= _MINOR_CROSSCHECK_MAX_DIM:
-        if y.n % 2:
-            by_blocks = minors_gcd(y.z, m)
-        else:
-            # Z / q is orthogonal, checked when y was built, so by Jacobi's
-            # complementary-minor identity |det Z[R,S]| = |det Z[R',S']| for the
-            # complements R', S' when n = 2m: blocks R and R' have the same gcd
-            by_blocks = _row_blocks_minors_gcd(y.z, m, holding_row_0=True)
+        # for even n = 2m: Z / q is orthogonal, checked when y was built, so by
+        # Jacobi's complementary-minor identity |det Z[R,S]| = |det Z[R',S']| for
+        # the complements R', S': blocks R and R' have the same gcd
+        by_blocks = _row_blocks_minors_gcd(y.z, m, holding_row_0=y.n % 2 == 0)
         if by_blocks != delta_m:
             raise CrossCheckFailed(
                 f"invariant-factor product disagrees with the gcd of the {m}x{m} minors "

@@ -162,6 +162,8 @@ class ReflectionAxis:
         # a zero vector has gcd 0, so this also rejects it
         if math.gcd(*self.coords) != 1:
             raise ValueError("axis must be primitive; use ReflectionAxis.from_coords")
+        if next(c for c in self.coords if c) < 0:
+            raise ValueError("first nonzero coordinate must be positive; use ReflectionAxis.from_coords")
 
     @classmethod
     def from_coords(cls, coords: "ReflectionAxis | Sequence[int]") -> "ReflectionAxis":
@@ -192,23 +194,23 @@ class ReflectionAxis:
 def reflection(v) -> RationalIsometry:
     """Reflection through the hyperplane orthogonal to v.
 
-    The matrix is (1/w)(w I - 2 v v^T) with w = v^T v; its canonical
-    denominator is w when w is odd and w/2 when w is even, because the gcd
-    of the entries of w I - 2 v v^T is 1 or 2 accordingly.
+    The matrix is (1/w)(w I - 2 v v^T) with w = v^T v; the gcd of the
+    entries of w I - 2 v v^T is 1 or 2 as w is odd or even, so its canonical
+    denominator is the axis's coincidence index, w or w/2.
     """
     axis = ReflectionAxis.from_coords(v)
     a = axis.coords
-    w = axis.norm_sq
-    # (q, h) = (w, 2) or (w/2, 1): the numerator is q I - h v v^T
-    q, h = (w, 2) if w % 2 else (w // 2, 1)
+    q = axis.coincidence_index  # the numerator is q I - h v v^T, with h = 2q / w = 2 or 1
+    h = 2 * q // axis.norm_sq
     n = len(a)
     return RationalIsometry(q, IntMatrix(n, n, _scaled_identity_minus_rank_one(q, h, a)))
 
 
 def compose(a: RationalIsometry, *factors: RationalIsometry) -> RationalIsometry:
     """a * f_1 * ... * f_k in lowest terms, checked once: no partial product reaches a caller."""
-    if any(b.n != a.n for b in factors):
-        raise ValueError("dimension mismatch")
+    for b in factors:
+        if b.n != a.n:
+            raise ValueError(f"dimension mismatch: {a.n}x{a.n} and {b.n}x{b.n}")
     q, z = a.q, a.z
     for b in factors:
         rank_one = b._rank_one
@@ -234,9 +236,13 @@ def random_axis(n: int, coordinate_bound: int, rng: Lcg) -> ReflectionAxis:
             return ReflectionAxis.from_coords(coords)
 
 
-def _check_random_params(n: int, k: int, coordinate_bound: int) -> None:
+def _require_dimension(n: int) -> None:
     if n < 2:
         raise ValueError("dimension must be at least 2")
+
+
+def _check_random_params(n: int, k: int, coordinate_bound: int) -> None:
+    _require_dimension(n)
     if k < 0:
         raise ValueError(f"reflection count must be >= 0, got {k}")
     if coordinate_bound < 1:

@@ -11,12 +11,11 @@ small.  Its P and Q are one valid pair among many; d is canonical.
 `minors_gcd` takes the gcd of the i x i minors from Hermite forms of blocks
 of i rows, one `_echelon` per block (`_row_blocks_minors_gcd`).
 
-Two private routines work on the rows of a matrix plus N Z^n for a chosen
-N: `_smith_diagonal_mod` (gcd(d_i, N) for each invariant factor d_i, which
-is d_i itself when N is a multiple of the last one) and `_hermite_tail_mod`
-(the tail of a Hermite form of rows plus N Z^cols).  Both keep every entry
-mod N.  All of them clear an entry with one extended-gcd step (`_xgcd`), or
-by subtracting a multiple of the pivot's row when the pivot divides it.
+`_smith_diagonal_mod` reduces the rows of a matrix plus N Z^n, every entry
+mod N, to gcd(d_i, N) for each invariant factor d_i.  Each routine clears
+an entry with one extended-gcd step (`_xgcd`), or by subtracting a multiple
+of the pivot's row when the pivot divides it.  The HNF oracle's Hermite
+form mod q is in `oracle`, which takes only `_xgcd` from here.
 """
 
 from __future__ import annotations
@@ -280,64 +279,3 @@ def _smith_diagonal_mod(a: IntMatrix, modulus: int) -> tuple[int, ...]:
             d[i], d[j] = g, d[i] * d[j] // g
     return tuple(d)
 
-
-def _hermite_tail_mod(a: IntMatrix, modulus: int, lead: int) -> IntMatrix:
-    """Last cols - lead rows of the row Hermite form of the rows of a plus modulus * Z^cols.
-
-    Those rows start with lead zeros, which are dropped.  The lattice holds
-    N * Z^cols (N = modulus), so every entry is kept mod N (Domich, Kannan &
-    Trotter 1987).  Column by column, one extended-gcd step per nonzero row
-    folds the rows into one row r and leaves the others zero there.  With
-    p = gcd(r_j, N) = u r_j + v N, the pivot row is u r + v N e_j, and
-    (N / p) r, which is zero at j mod N, rejoins the rows; a column with no
-    nonzero row has the pivot row N e_j.  Entries above each pivot of the
-    kept rows are reduced into [0, pivot) at the end.
-    """
-    N = modulus
-    rows = [[x % N for x in a.row(i)] for i in range(a.rows)]
-    kept = []  # pivot rows of the columns from lead on
-    for j in range(a.cols):
-        # every row is zero before column j, so row steps start at j
-        r = None
-        rest = []
-        for row in rows:
-            y = row[j]
-            if y and r is None:
-                r = row
-                continue
-            if y:
-                x = r[j]
-                if y % x == 0:
-                    c = y // x
-                    row[j:] = [(e - c * f) % N for f, e in zip(r[j:], row[j:])]
-                else:
-                    g, s, u = _xgcd(x, y)
-                    x, y = x // g, y // g
-                    pairs = list(zip(r[j:], row[j:]))
-                    r[j:] = [(s * f + u * e) % N for f, e in pairs]
-                    row[j:] = [(y * f - x * e) % N for f, e in pairs]
-                if not any(row[j:]):
-                    continue
-            rest.append(row)
-        if r is None:
-            if j >= lead:
-                kept.append([N if i == j else 0 for i in range(lead, a.cols)])
-        else:
-            p, u, _ = _xgcd(r[j], N)
-            if j >= lead:
-                kept.append([u * e % N for e in r[lead:]])  # u r_j = p mod N, and p < N
-            if p > 1:
-                r[j:] = [N // p * e % N for e in r[j:]]
-                if any(r[j:]):
-                    rest.append(r)
-        rows = rest
-    k = len(kept)
-    for i in range(k - 2, -1, -1):
-        bi = kept[i]
-        for j in range(i + 1, k):
-            bj = kept[j]
-            c = bi[j] // bj[j]
-            if c:
-                bi[j] -= c * bj[j]
-                bi[j + 1 :] = [(e - c * f) % N for e, f in zip(bi[j + 1 :], bj[j + 1 :])]
-    return IntMatrix(k, k, tuple(x for row in kept for x in row))

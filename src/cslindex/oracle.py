@@ -11,7 +11,8 @@ Two oracles that never look at the invariant factors of Z:
   span the vectors with first half zero, (0, w) with w Z ≡ 0 (mod q), and
   those w make up Z^n ∩ Y Z^n.  The lattice holds q Z^2n, so the
   elimination keeps every entry mod q, with one extended-gcd step per pair
-  of entries; no kernel and no transform is computed.
+  of entries (`_xgcd`, all it shares with the Smith routines); no kernel
+  and no transform is computed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .indices import IndexReport
 from .isometry import RationalIsometry
 from .matrices import IntMatrix
-from .normalform import _hermite_tail_mod
+from .normalform import _xgcd
 
 DEFAULT_RESIDUE_CAP = 10**7
 
@@ -76,6 +77,67 @@ class IntersectionBasis:
         return math.prod(self.basis.entries[:: self.basis.cols + 1])
 
 
+def _hermite_tail_mod(z: IntMatrix, q: int) -> IntMatrix:
+    """Right n x n block of the last n rows of the row Hermite form of [Z | I] + q Z^2n.
+
+    The rows of [Z | I] enter reduced mod q, the identity block too, so
+    q = 1 gives the identity.  The lattice holds q Z^2n, so every entry is
+    kept mod q (Domich, Kannan & Trotter 1987).  Column by column, one
+    extended-gcd step per nonzero row folds the rows into one row r and
+    leaves the others zero there.  With p = gcd(r_j, q) = u r_j + v q, the
+    pivot row is u r + v q e_j, and (q / p) r, which is zero at j mod q,
+    rejoins the rows; a column with no nonzero row has the pivot row q e_j.
+    Entries above each kept pivot are reduced into [0, pivot) at the end.
+    """
+    n = z.rows
+    rows = [[x % q for x in z.row(i)] + [1 % q if k == i else 0 for k in range(n)] for i in range(n)]
+    kept = []  # pivot rows of columns n to 2n - 1, without their first n entries
+    for j in range(2 * n):
+        # every row is zero before column j, so row steps start at j
+        r = None
+        rest = []
+        for row in rows:
+            y = row[j]
+            if y and r is None:
+                r = row
+                continue
+            if y:
+                x = r[j]
+                if y % x == 0:
+                    c = y // x
+                    row[j:] = [(e - c * f) % q for f, e in zip(r[j:], row[j:])]
+                else:
+                    g, s, u = _xgcd(x, y)
+                    x, y = x // g, y // g
+                    pairs = list(zip(r[j:], row[j:]))
+                    r[j:] = [(s * f + u * e) % q for f, e in pairs]
+                    row[j:] = [(y * f - x * e) % q for f, e in pairs]
+                if not any(row[j:]):
+                    continue
+            rest.append(row)
+        if r is None:
+            if j >= n:
+                kept.append([q if i == j else 0 for i in range(n, 2 * n)])
+        else:
+            p, u, _ = _xgcd(r[j], q)
+            if j >= n:
+                kept.append([u * e % q for e in r[n:]])  # u r_j = p mod q, and p < q
+            if p > 1:
+                r[j:] = [q // p * e % q for e in r[j:]]
+                if any(r[j:]):
+                    rest.append(r)
+        rows = rest
+    for i in range(n - 2, -1, -1):
+        bi = kept[i]
+        for j in range(i + 1, n):
+            bj = kept[j]
+            c = bi[j] // bj[j]
+            if c:
+                bi[j] -= c * bj[j]
+                bi[j + 1 :] = [(e - c * f) % q for e, f in zip(bi[j + 1 :], bj[j + 1 :])]
+    return IntMatrix(n, n, tuple(x for row in kept for x in row))
+
+
 def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
     """Canonical basis of the coincidence sublattice via Hermite reduction mod q.
 
@@ -84,10 +146,7 @@ def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
     the right n x n block of the last n rows is the Hermite basis of
     {w : w Z ≡ 0 (mod q)} = Z^n ∩ Y Z^n.
     """
-    n, q, z = y.n, y.q, y.z
-    unit = IntMatrix.identity(n)
-    stacked = tuple(x for i in range(n) for x in z.row(i) + unit.row(i))
-    return IntersectionBasis(_hermite_tail_mod(IntMatrix(n, 2 * n, stacked), q, n))
+    return IntersectionBasis(_hermite_tail_mod(y.z, y.q))
 
 
 def index_by_hnf(y: RationalIsometry) -> IndexReport:

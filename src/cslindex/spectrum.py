@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .indices import CrossCheckFailed, _require_pairwise_coprime
-from .isometry import ReflectionAxis, compose, identity_isometry, reflection
+from .isometry import ReflectionAxis, _require_dimension, compose, identity_isometry, reflection
 from .oracle import intersection_hnf
 
 
@@ -156,8 +156,7 @@ def reflection_spectrum(n: int, sigma_bound: int) -> dict[int, IndexWitness]:
     index (both norm shells exhausted); nothing is claimed about general
     isometries.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    _require_dimension(n)
     if sigma_bound < 1:
         raise ValueError("sigma bound must be positive")
     out: dict[int, IndexWitness] = {}
@@ -175,6 +174,7 @@ def coprime_witness(targets, n: int) -> IndexWitness:
     WitnessNotFound when some target has no reflection witness in
     dimension n.
     """
+    _require_dimension(n)
     targets = [int(t) for t in targets]
     if any(t < 1 for t in targets):
         raise ValueError("targets must be positive")

@@ -155,6 +155,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: --cap must be a positive integer")
 
+    @pytest.mark.parametrize("command", ["verify", "corpus"])
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_bad_cap_is_one_input_error(self, capsys, tmp_path, command, cap):
+        # --cap is checked by the same rule as CSLINDEX_CAP, not by argparse
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        if command == "verify":
+            args = ["verify", "--matrix", str(f)]
+        else:
+            args = ["corpus", "--dim", "2", "--count", "3", "--seed", "1"]
+        code, out, err = run(capsys, *args, "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --cap must be a positive integer, got '{cap}'\n"
+
     def test_not_orthogonal(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("2 2\n1 2\n3 4\n")
@@ -272,6 +287,15 @@ class TestReflectCompose:
         assert code == 2
         assert out == ""
         assert err == "error: bad vector 'a,b'; expected comma-separated integers\n"
+
+    def test_dimension_mismatch_names_files_and_sizes(self, capsys, tmp_path):
+        r3, rot = tmp_path / "r3.txt", tmp_path / "rot.txt"
+        r3.write_text(REF3)
+        rot.write_text(ROT)
+        code, out, err = run(capsys, "compose", str(r3), str(rot))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {r3}, {rot}: dimension mismatch: 3x3 and 2x2\n"
 
 
 class TestSpectrum:
@@ -471,8 +495,8 @@ class TestCrossCheckFailure:
         assert "Traceback" not in err
 
     def test_closed_form_mismatch_exits_one_odd_n(self, capsys, tmp_path, monkeypatch):
-        # odd n takes delta_m from minors_gcd, over every row block
-        monkeypatch.setattr(indices, "minors_gcd", lambda z, m: 0)
+        # odd n takes delta_m from every row block, through the same call
+        monkeypatch.setattr(indices, "_row_blocks_minors_gcd", lambda z, m, holding_row_0: 0)
         f = tmp_path / "ref3.txt"
         f.write_text(REF3)
         code, out, err = run(capsys, "index", "--matrix", str(f))

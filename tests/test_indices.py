@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cslindex import indices, normalform
 from cslindex.indices import (
     CoprimalityViolated,
     index_closed_form,
@@ -92,6 +93,57 @@ class TestClosedForm:
         # block with its complement
         y = random_isometry(n, k, bound, seed)
         assert self.even_route(y) == minors_gcd_reference(y.z, n // 2)
+
+
+class TestClosedFormRoute:
+    """delta_m for the cross-check comes from one call over row blocks of Z."""
+
+    @staticmethod
+    def hermite_forms(monkeypatch, y):
+        """Number of Hermite forms index_closed_form(y) runs, the Smith diagonal already cached."""
+        y.invariant_factors
+        calls = []
+        echelon = normalform._echelon
+
+        def counted(rows, width):
+            calls.append(width)
+            return echelon(rows, width)
+
+        monkeypatch.setattr(normalform, "_echelon", counted)
+        index_closed_form(y)
+        return len(calls)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_call_up_to_dimension_8(self, monkeypatch, n):
+        calls = []
+        blocks = indices._row_blocks_minors_gcd
+
+        def counted(z, m, holding_row_0):
+            calls.append(holding_row_0)
+            return blocks(z, m, holding_row_0=holding_row_0)
+
+        monkeypatch.setattr(indices, "_row_blocks_minors_gcd", counted)
+        index_closed_form(random_isometry(n, n, 3, n) if n > 1 else identity_isometry(1))
+        assert calls == ([n % 2 == 0] if 2 <= n <= 8 else [])
+
+    def test_even_n_takes_half_the_blocks(self, monkeypatch):
+        y = random_isometry(6, 6, 3, 0)
+        # delta_3 > 1, so the gcd never reaches 1 and no block is skipped
+        assert math.prod(y.invariant_factors[:3]) > 1
+        assert self.hermite_forms(monkeypatch, y) <= math.comb(5, 2)
+
+    @pytest.mark.parametrize("n", [5, 7])  # at n = 3, delta_1 is the gcd of the entries, 1
+    def test_odd_n_takes_every_block(self, monkeypatch, n):
+        y = random_isometry(n, n, 3, 0)
+        m = n // 2
+        assert math.prod(y.invariant_factors[:m]) > 1
+        assert self.hermite_forms(monkeypatch, y) == math.comb(n, m)
+
+    def test_odd_n_blocks_holding_row_0_are_not_enough(self):
+        # Jacobi's identity pairs complementary blocks only when n is even
+        y = random_isometry(5, 5, 3, 5)
+        assert _row_blocks_minors_gcd(y.z, 2, holding_row_0=True) == 197505
+        assert index_closed_form(y).factors == (197505, 65835)
 
 
 class TestReflectionFormula:

@@ -227,6 +227,10 @@ class TestComposeChain:
         with pytest.raises(ValueError, match="dimension mismatch"):
             compose(*chain)
 
+    def test_dimension_mismatch_names_both_sizes(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3x3 and 2x2$"):
+            compose(reflection((1, 1, 1)), reflection((1, 2, 2)), identity_isometry(2))
+
     @pytest.mark.parametrize(
         "a", [identity_isometry(3), reflection((1, 2, 2)), random_isometry(4, 3, 4, 5)], ids=["identity", "reflection", "dense"]
     )
@@ -381,6 +385,13 @@ class TestReflectionAxis:
     def test_non_primitive_direct_construction_rejected(self):
         with pytest.raises(ValueError):
             ReflectionAxis((2, 4))
+
+    @pytest.mark.parametrize("coords", [(-1, 2, 0), (0, -3, 1)])
+    def test_negative_first_coordinate_rejected(self, coords):
+        hint = "first nonzero coordinate must be positive; use ReflectionAxis.from_coords"
+        with pytest.raises(ValueError, match=hint):
+            ReflectionAxis(coords)
+        assert ReflectionAxis.from_coords(coords).coords == tuple(-c for c in coords)
 
     @pytest.mark.parametrize("coords", [(0, 0, 0), ()])
     def test_zero_direct_construction_rejected(self, coords):

@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cslindex
+from cslindex import normalform
 from cslindex.indices import index_fortes
 from cslindex.isometry import (
+    RationalIsometry,
     from_rational_matrix,
     identity_isometry,
     random_corpus,
@@ -20,7 +22,9 @@ from cslindex.isometry import (
 )
 from cslindex.matrices import IntMatrix, RatMatrix, mat_mul, parse_rat_matrix
 from cslindex.oracle import (
+    DEFAULT_RESIDUE_CAP,
     CapExceeded,
+    _hermite_tail_mod,
     index_by_counting,
     index_by_hnf,
     intersection_hnf,
@@ -208,3 +212,55 @@ class TestOracleAgreement:
             assert hnf_sigma == index_fortes(y).sigma
             if y.q**y.n <= 10**6:
                 assert index_by_counting(y).sigma == hnf_sigma
+
+
+# the Smith routines, and the cached property that runs one, by code object
+SMITH_CODE = {
+    normalform._smith_diagonal_mod.__code__: "_smith_diagonal_mod",
+    normalform.smith_normal_form.__code__: "smith_normal_form",
+    normalform._echelon.__code__: "_echelon",
+    RationalIsometry.invariant_factors.func.__code__: "RationalIsometry.invariant_factors",
+}
+
+
+def codes_called(call, y):
+    """Code objects of every Python function that call(y) enters."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call(y)
+    finally:
+        sys.setprofile(before)
+    return seen
+
+
+def fresh_draws():
+    """New isometries, n = 2..8, so no invariant_factors is cached yet."""
+    return [random_isometry(n, k, 3, 100 * n + k) for n in range(2, 9) for k in range(4)]
+
+
+class TestOraclesNeverReadSmith:
+    @pytest.mark.parametrize("oracle", [intersection_hnf, index_by_hnf, index_by_counting])
+    def test_no_smith_routine_runs(self, oracle):
+        ran = 0
+        for y in fresh_draws():
+            if oracle is index_by_counting and y.q**y.n > DEFAULT_RESIDUE_CAP:
+                continue
+            seen = codes_called(oracle, y)
+            assert not [SMITH_CODE[c] for c in seen if c in SMITH_CODE], (y.n, y.q)
+            ran += 1
+        assert ran >= 10
+
+    def test_profile_sees_the_routines(self):
+        # the probe itself works: the HNF oracle's elimination and a formula's Smith diagonal show
+        y = random_isometry(4, 3, 3, 7)
+        assert _hermite_tail_mod.__code__ in codes_called(intersection_hnf, y)
+        seen = codes_called(index_fortes, y)
+        assert RationalIsometry.invariant_factors.func.__code__ in seen
+        assert normalform._smith_diagonal_mod.__code__ in seen

@@ -237,3 +237,9 @@ class TestCoprimeWitness:
         # 4 is not a reflection index in dimension 3: norm 8 has no primitive vector
         with pytest.raises(WitnessNotFound):
             coprime_witness((4,), 3)
+
+    @pytest.mark.parametrize("targets, n", [((1,), -5), ((3,), 0), ((1,), 1)])
+    def test_dimension_below_two_rejected(self, targets, n):
+        # the same check as reflection_spectrum, before any target is looked at
+        with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+            coprime_witness(targets, n)
