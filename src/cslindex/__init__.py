@@ -25,16 +25,11 @@ from .matrices import (
     RatMatrix,
     format_int_matrix,
     format_rat_matrix,
-    gcd_entries,
     mat_mul,
     parse_int_matrix,
     parse_rat_matrix,
 )
-from .normalform import (
-    SmithDecomposition,
-    minors_gcd,
-    smith_normal_form,
-)
+from .normalform import SmithDecomposition, smith_normal_form
 from .oracle import (
     CapExceeded,
     IntersectionBasis,
@@ -76,7 +71,6 @@ __all__ = [
     "format_rat_matrix",
     "four_square_odd_decompose",
     "from_rational_matrix",
-    "gcd_entries",
     "identity_isometry",
     "index_by_counting",
     "index_by_hnf",
@@ -87,7 +81,6 @@ __all__ = [
     "intersection_hnf",
     "is_three_square_excluded",
     "mat_mul",
-    "minors_gcd",
     "parse_int_matrix",
     "parse_rat_matrix",
     "random_corpus",

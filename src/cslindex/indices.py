@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .isometry import CrossCheckFailed, RationalIsometry, ReflectionAxis
-from .normalform import _row_blocks_minors_gcd
+from .matrices import IntMatrix
+from .normalform import _echelon
 
 # delta_m is cross-checked up to this dimension: at n = 8, C(7,3) = 35 Hermite
 # forms of 4 x 8 row blocks, 2.8-3.3 ms per isometry against 78-116 ms for all 4900
@@ -61,6 +63,33 @@ def index_fortes(y: RationalIsometry) -> IndexReport:
     return IndexReport(sigma, "fortes", d)
 
 
+def _row_blocks_minors_gcd(z: IntMatrix, m: int, holding_row_0: bool) -> int:
+    """gcd over sets R of m rows of the gcd of the m x m minors of z[R, :]; 0 when all vanish.
+
+    For each R that gcd is the determinant of the lattice in Z^m spanned by
+    the columns of z[R, :]: the product of the pivots of its Hermite form,
+    or 0 when fewer than m pivots appear.  Over every set of m rows it is
+    the gcd of all m x m minors of z.  With holding_row_0, R runs over the
+    sets that contain row 0 only, which is enough when z / q is orthogonal
+    and n = 2m: by Jacobi's complementary-minor identity
+    |det z[R,S]| = |det z[R',S']| for the complements R', S', so blocks R
+    and R' have the same gcd.  The loop stops once the gcd is 1.
+    """
+    rows = [z.row(k) for k in range(z.rows)]
+    if holding_row_0:
+        blocks = ((rows[0], *rest) for rest in combinations(rows[1:], m - 1))
+    else:
+        blocks = combinations(rows, m)
+    g = 0
+    for block in blocks:
+        # with fewer than m pivots, the diagonal of the form has a zero
+        h = _echelon([list(col) for col in zip(*block)], m)
+        g = math.gcd(g, math.prod(h[k][k] for k in range(m)))
+        if g == 1:
+            break
+    return g
+
+
 def index_closed_form(y: RationalIsometry) -> IndexReport:
     """Sigma = q^m / delta_m with m = floor(n/2).
 
@@ -68,16 +97,15 @@ def index_closed_form(y: RationalIsometry) -> IndexReport:
     the first m invariant factors.  For n <= 8 the value is cross-checked
     against the gcd taken from Hermite forms of blocks of m rows of Z, which
     never reads the Smith diagonal: over all C(n, m) blocks for odd n, over
-    the C(n - 1, m - 1) blocks that hold row 0 for even n, in one call
-    (no check of `minors_gcd` can fire on an isometry).  For n = 1, m = 0
-    and delta_0 = 1, the empty product, so there is nothing to cross-check.
+    the C(n - 1, m - 1) blocks that hold row 0 for even n, in one call.
+    For n = 1, m = 0 and delta_0 = 1, the empty product, so there is
+    nothing to cross-check.
     """
     m = y.n // 2
     delta_m = math.prod(y.invariant_factors[:m])
     if 0 < m and y.n <= _MINOR_CROSSCHECK_MAX_DIM:
-        # for even n = 2m: Z / q is orthogonal, checked when y was built, so by
-        # Jacobi's complementary-minor identity |det Z[R,S]| = |det Z[R',S']| for
-        # the complements R', S': blocks R and R' have the same gcd
+        # Z / q is orthogonal, checked when y was built, so for even n the blocks
+        # that hold row 0 suffice
         by_blocks = _row_blocks_minors_gcd(y.z, m, holding_row_0=y.n % 2 == 0)
         if by_blocks != delta_m:
             raise CrossCheckFailed(

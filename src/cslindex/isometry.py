@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import IntMatrix, RatMatrix, _lowest_terms, gcd_entries, mat_mul
+from .matrices import IntMatrix, RatMatrix, _lowest_terms, mat_mul
 from .normalform import _smith_diagonal_mod
 from .rng import Lcg
 
@@ -50,7 +50,7 @@ class RationalIsometry:
         if rank_one is None or rank_one[1] * sum(x * x for x in rank_one[0]) != 2 * self.q:
             self._check_gram()
         # after the orthogonality check, so a matrix that is not orthogonal is reported as such
-        if gcd_entries(self.z) != 1:
+        if math.gcd(*self.z.entries) != 1:
             raise ValueError("entries of z must have gcd 1")
 
     @property

@@ -54,11 +54,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.entries[j :: self.cols] for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(x for col in self.columns() for x in col)
-        )
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -74,14 +69,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         ra = a.row(i)
         out.extend(sum(map(operator.mul, ra, cb)) for cb in cols)
     return IntMatrix(a.rows, b.cols, tuple(out))
-
-
-def gcd_entries(a: IntMatrix) -> int:
-    """gcd of the absolute values of the nonzero entries."""
-    g = math.gcd(*a.entries)
-    if g == 0:
-        raise ValueError("gcd of entries is undefined for the zero matrix")
-    return g
 
 
 def _lowest_terms(numerator: IntMatrix, denominator: int) -> tuple[IntMatrix, int]:

@@ -8,28 +8,19 @@ alternates Hermite forms of A and of its transpose, with P and Q as
 companions, until A is diagonal; since every form is reduced, P and Q stay
 small.  Its P and Q are one valid pair among many; d is canonical.
 
-`minors_gcd` takes the gcd of the i x i minors from Hermite forms of blocks
-of i rows, one `_echelon` per block (`_row_blocks_minors_gcd`).
-
 `_smith_diagonal_mod` reduces the rows of a matrix plus N Z^n, every entry
 mod N, to gcd(d_i, N) for each invariant factor d_i.  Each routine clears
 an entry with one extended-gcd step (`_xgcd`), or by subtracting a multiple
-of the pivot's row when the pivot divides it.  The HNF oracle's Hermite
-form mod q is in `oracle`, which takes only `_xgcd` from here.
+of the pivot's row when the pivot divides it.  The HNF oracle in `oracle`
+takes only `_xgcd` from here, and the closed form in `indices` only `_echelon`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .matrices import IntMatrix
-
-# minors_gcd takes one Hermite form per block of i lines and refuses calls
-# that need more: C(18, 9) = 48,620 forms of an 18 x 18 matrix took 24 s
-# (Python 3.11, 2-vCPU Xeon)
-MINOR_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,54 +93,6 @@ def _echelon(rows: list[list[int]], width: int) -> list[list[int]]:
             if row is r:
                 break
     return basis + zero
-
-
-def _row_blocks_minors_gcd(a: IntMatrix, i: int, holding_row_0: bool = False) -> int:
-    """gcd over sets R of i rows of the gcd of the i x i minors of a[R, :]; 0 when all vanish.
-
-    For each R that gcd is the determinant of the lattice in Z^i spanned by
-    the columns of a[R, :]: the product of the pivots of its Hermite form,
-    or 0 when fewer than i pivots appear.  R runs over every set of i rows,
-    or with holding_row_0 over the sets that contain row 0 only.  The loop
-    stops once the gcd is 1.
-    """
-    rows = [a.row(k) for k in range(a.rows)]
-    if holding_row_0:
-        blocks = ((rows[0], *rest) for rest in combinations(rows[1:], i - 1))
-    else:
-        blocks = combinations(rows, i)
-    g = 0
-    for block in blocks:
-        # with fewer than i pivots, the diagonal of the form has a zero
-        h = _echelon([list(col) for col in zip(*block)], i)
-        g = math.gcd(g, math.prod(h[k][k] for k in range(i)))
-        if g == 1:
-            break
-    return g
-
-
-def minors_gcd(a: IntMatrix, i: int) -> int:
-    """gcd of the determinants of all i x i minors, from Hermite forms of row blocks.
-
-    The gcd of the i x i minors of a[R, :] over all sets R of i rows is the
-    gcd of all i x i minors, so C(rows, i) small Hermite forms replace
-    C(rows, i) * C(cols, i) determinants (`_row_blocks_minors_gcd`).  The
-    minors of a and of its transpose agree, so R runs over the shorter side.
-    """
-    if i < 1 or i > min(a.rows, a.cols):
-        raise ValueError(f"minor order {i} out of range for {a.rows}x{a.cols}")
-    if a.rows > a.cols:
-        a = a.transpose()
-    blocks = math.comb(a.rows, i)
-    if blocks > MINOR_BUDGET:
-        raise ValueError(
-            f"too many minors: {blocks} Hermite forms of {i}-row blocks, "
-            f"over the budget of {MINOR_BUDGET}"
-        )
-    g = _row_blocks_minors_gcd(a, i)
-    if g == 0:
-        raise ValueError(f"all {i}x{i} minors vanish")
-    return g
 
 
 def _is_diagonal(a: list[list[int]]) -> bool:

@@ -129,6 +129,9 @@ def reflection_witness_axis(n: int, sigma: int) -> ReflectionAxis | None:
     The two shells are exhausted, so None is conclusive: no single
     reflection in dimension n has index sigma.
     """
+    _require_dimension(n)
+    if sigma < 1:
+        raise ValueError("sigma must be positive")
     for norm in (sigma, 2 * sigma) if sigma % 2 else (2 * sigma,):  # index w if w is odd, w/2 if even
         for coords in vectors_with_norm(n, norm):
             if math.gcd(*coords) == 1:

@@ -29,9 +29,14 @@ def check_gram_reference(q: int, z: IntMatrix) -> None:
                 )
 
 
+def transpose(a: IntMatrix) -> IntMatrix:
+    """The transpose of a."""
+    return IntMatrix(a.cols, a.rows, tuple(x for col in a.columns() for x in col))
+
+
 def transpose_inverse(a: RationalIsometry) -> RationalIsometry:
     """The inverse, which for an isometry is the transpose."""
-    return RationalIsometry(a.q, a.z.transpose())
+    return RationalIsometry(a.q, transpose(a.z))
 
 
 def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:
@@ -63,7 +68,7 @@ def hnf_lattice_contains(h: IntMatrix, vec) -> bool:
 
 
 def minors_gcd_reference(a: IntMatrix, i: int) -> int:
-    """Reference for minors_gcd: the gcd of the determinants of all i x i minors, one by one.
+    """Reference for delta_i: the gcd of the determinants of all i x i minors, one by one.
 
     Raises ValueError when i is out of range or every i x i minor is 0.
     """

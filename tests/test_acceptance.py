@@ -30,7 +30,7 @@ from cslindex.isometry import (
     random_corpus,
     reflection,
 )
-from cslindex.matrices import IntMatrix, gcd_entries, mat_mul
+from cslindex.matrices import IntMatrix, mat_mul
 from cslindex.normalform import smith_normal_form
 from cslindex.oracle import index_by_counting, index_by_hnf
 from cslindex.rng import Lcg
@@ -141,7 +141,7 @@ def test_criterion_04_reflection_normal_form_structure(reflection_sweep):
                 ]
             )
             if n >= 3:
-                assert gcd_entries(t) == (2 if w % 2 == 0 else 1)
+                assert math.gcd(*t.entries) == (2 if w % 2 == 0 else 1)
             r = reflection(coords)
             d = smith_normal_form(r.z).d
             if n == 2:

@@ -51,3 +51,13 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_test_only_helpers_are_gone():
+    import cslindex
+    from cslindex import matrices, normalform
+
+    for name in ("minors_gcd", "gcd_entries", "det", "hermite_normal_form"):
+        assert not hasattr(cslindex, name) and name not in cslindex.__all__
+    assert not hasattr(normalform, "minors_gcd") and not hasattr(normalform, "MINOR_BUDGET")
+    assert not hasattr(matrices, "gcd_entries") and not hasattr(matrices.IntMatrix, "transpose")

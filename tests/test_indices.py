@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslindex import indices, normalform
+from cslindex import indices
 from cslindex.indices import (
     CoprimalityViolated,
+    _row_blocks_minors_gcd,
     index_closed_form,
     index_coprime_product,
     index_fortes,
@@ -25,9 +26,9 @@ from cslindex.isometry import (
     reflection,
 )
 from cslindex.matrices import IntMatrix, RatMatrix
-from cslindex.normalform import _row_blocks_minors_gcd, smith_normal_form
+from cslindex.normalform import smith_normal_form
 from cslindex.oracle import CapExceeded, index_by_counting, index_by_hnf
-from support import minors_gcd_reference, transpose_inverse
+from support import minors_gcd_reference, transpose, transpose_inverse
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -103,13 +104,13 @@ class TestClosedFormRoute:
         """Number of Hermite forms index_closed_form(y) runs, the Smith diagonal already cached."""
         y.invariant_factors
         calls = []
-        echelon = normalform._echelon
+        echelon = indices._echelon
 
         def counted(rows, width):
             calls.append(width)
             return echelon(rows, width)
 
-        monkeypatch.setattr(normalform, "_echelon", counted)
+        monkeypatch.setattr(indices, "_echelon", counted)
         index_closed_form(y)
         return len(calls)
 
@@ -374,7 +375,7 @@ def rotation_3d(p):
     conj = (p[0], -p[1], -p[2], -p[3])
     basis = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     images = [quaternion_product(quaternion_product(p, e), conj)[1:] for e in basis]
-    columns = IntMatrix.from_rows(images).transpose()
+    columns = transpose(IntMatrix.from_rows(images))
     return from_rational_matrix(RatMatrix.make(columns, quaternion_norm(p)))
 
 
@@ -382,7 +383,7 @@ def rotation_4d(p, q):
     """x -> p x q / (|p| |q|) on all quaternions."""
     basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     images = [quaternion_product(quaternion_product(p, e), q) for e in basis]
-    columns = IntMatrix.from_rows(images).transpose()
+    columns = transpose(IntMatrix.from_rows(images))
     return from_rational_matrix(
         RatMatrix.make(columns, math.isqrt(quaternion_norm(p) * quaternion_norm(q)))
     )

@@ -18,7 +18,7 @@ from cslindex.isometry import (
     random_isometry,
     reflection,
 )
-from cslindex.matrices import IntMatrix, RatMatrix, gcd_entries, mat_mul, parse_rat_matrix
+from cslindex.matrices import IntMatrix, RatMatrix, mat_mul, parse_rat_matrix
 from support import check_gram_reference, transpose_inverse
 
 
@@ -51,7 +51,7 @@ def lowest_terms(q, entries, n):
     assume(any(entries))
     g = math.gcd(q, *entries)
     z = IntMatrix(n, n, tuple(x // g for x in entries))
-    assume(gcd_entries(z) == 1)
+    assume(math.gcd(*z.entries) == 1)
     return q // g, z
 
 
@@ -357,7 +357,7 @@ class TestReflection:
                         for i in range(n)
                     ]
                 )
-                assert gcd_entries(t) == (2 if w % 2 == 0 else 1)
+                assert math.gcd(*t.entries) == (2 if w % 2 == 0 else 1)
 
     def test_signed_permutations_give_same_q(self):
         base = (3, 2, 1)

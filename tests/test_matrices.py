@@ -10,13 +10,12 @@ from cslindex.matrices import (
     RatMatrix,
     format_int_matrix,
     format_rat_matrix,
-    gcd_entries,
     mat_mul,
     parse_int_matrix,
     parse_rat_matrix,
 )
-from cslindex.normalform import minors_gcd
-from support import det, diagonal_matrix, parse_rat_matrix_reference
+from cslindex.indices import _row_blocks_minors_gcd
+from support import det, diagonal_matrix, parse_rat_matrix_reference, transpose
 
 Z_ROT = IntMatrix.from_rows([[3, -4], [4, 3]])
 
@@ -79,7 +78,7 @@ class TestMatMul:
         assert mat_mul(a, b) == IntMatrix.from_rows([[2, 1], [1, 1]])
 
     def test_orthogonality_fixture(self):
-        assert mat_mul(Z_ROT, Z_ROT.transpose()) == diagonal_matrix((25, 25), 2, 2)
+        assert mat_mul(Z_ROT, transpose(Z_ROT)) == diagonal_matrix((25, 25), 2, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -116,42 +115,26 @@ class TestDet:
         assert det(a) == 10**40 - 1
 
 
-class TestGcdEntries:
-    def test_examples(self):
-        assert gcd_entries(IntMatrix.from_rows([[2, 4], [6, 0]])) == 2
-        assert gcd_entries(Z_ROT) == 1
-        assert gcd_entries(IntMatrix.from_rows([[5]])) == 5
-
-    def test_zero_matrix(self):
-        with pytest.raises(ValueError):
-            gcd_entries(IntMatrix.from_rows([[0, 0], [0, 0]]))
-
-
 class TestMinorsGcd:
+    """delta_i over every block of i rows, as index_closed_form takes it for odd n."""
+
     def test_full_minor(self):
-        assert minors_gcd(Z_ROT, 2) == 25
+        assert _row_blocks_minors_gcd(Z_ROT, 2, holding_row_0=False) == 25
 
     def test_block_diag(self):
         block = IntMatrix.from_rows(
             [[3, -4, 0, 0], [4, 3, 0, 0], [0, 0, 3, -4], [0, 0, 4, 3]]
         )
         # mixed-block 2x2 minors include 9, -12 and 16, whose gcd is 1
-        assert minors_gcd(block, 2) == 1
+        assert _row_blocks_minors_gcd(block, 2, holding_row_0=False) == 1
 
     def test_all_minors_zero(self):
-        with pytest.raises(ValueError):
-            minors_gcd(IntMatrix.from_rows([[1, 2], [2, 4]]), 2)
-
-    def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            minors_gcd(Z_ROT, 3)
+        assert _row_blocks_minors_gcd(IntMatrix.from_rows([[1, 2], [2, 4]]), 2, holding_row_0=False) == 0
 
     @settings(max_examples=50)
     @given(square_matrices(3))
     def test_order_one_is_entry_gcd(self, a):
-        if not any(a.entries):
-            return
-        assert minors_gcd(a, 1) == gcd_entries(a)
+        assert _row_blocks_minors_gcd(a, 1, holding_row_0=False) == math.gcd(*a.entries)
 
 
 class TestTextFormat:

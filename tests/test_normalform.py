@@ -4,16 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cslindex.indices import _row_blocks_minors_gcd
 from cslindex.isometry import random_isometry
-from cslindex import normalform
-from cslindex.matrices import IntMatrix, gcd_entries, mat_mul
-from cslindex.normalform import (
-    MINOR_BUDGET,
-    _smith_diagonal_mod,
-    _xgcd,
-    minors_gcd,
-    smith_normal_form,
-)
+from cslindex.matrices import IntMatrix, mat_mul
+from cslindex.normalform import _smith_diagonal_mod, _xgcd, smith_normal_form
 from cslindex.rng import Lcg
 from support import det, diagonal_matrix, hermite_normal_form, hnf_lattice_contains, minors_gcd_reference
 
@@ -88,7 +82,7 @@ class TestSmithNormalForm:
 
     def test_first_factor_is_entry_gcd(self):
         a = IntMatrix.from_rows([[6, 12], [18, 30]])
-        assert smith_normal_form(a).d[0] == gcd_entries(a)
+        assert smith_normal_form(a).d[0] == math.gcd(*a.entries)
 
     def test_repeated_runs_agree(self):
         a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -173,6 +167,8 @@ class TestSmithNormalForm:
 
 
 class TestMinorsGcdAgainstEnumeration:
+    """The closed form's row-block route to delta_i, over every block of i rows."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(
@@ -194,43 +190,15 @@ class TestMinorsGcdAgainstEnumeration:
                 want = minors_gcd_reference(a, i)
             except ValueError as exc:
                 assert "vanish" in str(exc)
-                with pytest.raises(ValueError, match="vanish"):
-                    minors_gcd(a, i)
-            else:
-                assert minors_gcd(a, i) == want
+                want = 0
+            assert _row_blocks_minors_gcd(a, i, holding_row_0=False) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 6), st.integers(1, 6), st.integers(0, 10**6))
     def test_isometry_numerators_match_enumeration(self, n, k, bound, seed):
         z = random_isometry(n, min(k, n), bound, seed).z
         for i in range(1, n + 1):
-            assert minors_gcd(z, i) == minors_gcd_reference(z, i)
-
-    def test_oversized_call_raises_before_any_form(self, monkeypatch):
-        def fail(rows, width):
-            raise AssertionError("a Hermite form was taken")
-
-        monkeypatch.setattr(normalform, "_echelon", fail)
-        with pytest.raises(ValueError, match="too many minors"):
-            minors_gcd(IntMatrix.identity(30), 15)
-
-    def test_blocks_run_over_the_shorter_side(self, monkeypatch):
-        # 3 x 200 has C(200, 3) > MINOR_BUDGET blocks of 3 rows of its transpose, but one of its own
-        base = IntMatrix.from_rows([[2, 0, 4, 6, 2], [4, 2, 0, 6, 8], [6, 4, 2, 0, 4]])
-        wide = IntMatrix.from_rows([row * 40 for row in base.to_rows()])
-        assert math.comb(wide.cols, 3) > MINOR_BUDGET
-        widths = []
-        echelon = normalform._echelon
-
-        def counting_echelon(rows, width):
-            widths.append(width)
-            return echelon(rows, width)
-
-        monkeypatch.setattr(normalform, "_echelon", counting_echelon)
-        # repeated columns add no new minors
-        want = minors_gcd_reference(base, 3)
-        assert minors_gcd(wide, 3) == minors_gcd(wide.transpose(), 3) == want
-        assert widths == [3, 3]
+            assert _row_blocks_minors_gcd(z, i, holding_row_0=False) == minors_gcd_reference(z, i)
 
 
 class TestExternalReference:

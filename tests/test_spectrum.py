@@ -184,6 +184,17 @@ class TestReflectionSpectrum:
         with pytest.raises(ValueError):
             reflection_spectrum(3, 0)
 
+    @pytest.mark.parametrize(
+        "n, sigma, message",
+        [(n, 3, "dimension must be at least 2") for n in (-5, 0, 1)]
+        + [(3, sigma, "sigma must be positive") for sigma in (0, -3)]
+        + [(0, -3, "dimension must be at least 2")],
+    )
+    def test_witness_axis_rejects_what_the_spectrum_rejects(self, n, sigma, message):
+        # None would claim that no reflection in dimension n has index sigma
+        with pytest.raises(ValueError, match=message):
+            reflection_witness_axis(n, sigma)
+
 
 nonzero_axes = st.integers(1, 10).flatmap(
     lambda n: st.lists(
