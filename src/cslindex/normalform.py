@@ -12,7 +12,8 @@ small.  Its P and Q are one valid pair among many; d is canonical.
 mod N, to gcd(d_i, N) for each invariant factor d_i.  Each routine clears
 an entry with one extended-gcd step (`_xgcd`), or by subtracting a multiple
 of the pivot's row when the pivot divides it.  The HNF oracle in `oracle`
-takes only `_xgcd` from here, and the closed form in `indices` only `_echelon`.
+and the closed form's row-block cross-check in `indices` take only `_xgcd`
+from here.
 """
 
 from __future__ import annotations

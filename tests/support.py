@@ -5,6 +5,8 @@ import operator
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from cslindex.isometry import NotOrthogonal, RationalIsometry
 from cslindex.matrices import IntMatrix, RatMatrix, _parse_header_and_tokens
 from cslindex.normalform import _echelon, _reduce
@@ -65,6 +67,22 @@ def hnf_lattice_contains(h: IntMatrix, vec) -> bool:
         for j in range(i, n):
             residue[j] -= c * h.at(i, j)
     return all(x == 0 for x in residue)
+
+
+def matrices(max_dim=4, lo=-9, hi=9, dims=None):
+    """Hypothesis strategy for integer matrices with entries in [lo, hi]: dims draws (rows, cols)."""
+
+    def build(dims):
+        m, n = dims
+        return st.lists(
+            st.lists(st.integers(lo, hi), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        ).map(IntMatrix.from_rows)
+
+    if dims is None:
+        dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
+    return dims.flatmap(build)
 
 
 def minors_gcd_reference(a: IntMatrix, i: int) -> int:

@@ -1,7 +1,7 @@
 import contextlib
 import math
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,7 @@ from cslindex.isometry import (
 from cslindex.matrices import IntMatrix, RatMatrix
 from cslindex.normalform import smith_normal_form
 from cslindex.oracle import CapExceeded, index_by_counting, index_by_hnf
-from support import minors_gcd_reference, transpose, transpose_inverse
+from support import det, matrices, minors_gcd_reference, transpose, transpose_inverse
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -96,23 +96,30 @@ class TestClosedForm:
         assert self.even_route(y) == minors_gcd_reference(y.z, n // 2)
 
 
+def minors_gcd_holding_row_0(a: IntMatrix, i: int) -> int:
+    """Reference: the gcd of the i x i minors of a on sets of rows that hold row 0, one by one."""
+    return math.gcd(
+        *(
+            det(IntMatrix.from_rows([[a.at(r, c) for c in cols] for r in (0, *rest)]))
+            for rest in combinations(range(1, a.rows), i - 1)
+            for cols in combinations(range(a.cols), i)
+        )
+    )
+
+
+def unit_rows(n: int, block) -> IntMatrix:
+    """n x n, zero outside the rows of block, which hold the unit rows e_{n-1}, e_{n-2}, ...
+
+    Its one nonzero minor of order len(block) lies on the rows of block, and is 1 or -1.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for k, r in enumerate(block):
+        rows[r][n - 1 - k] = 1
+    return IntMatrix.from_rows(rows)
+
+
 class TestClosedFormRoute:
     """delta_m for the cross-check comes from one call over row blocks of Z."""
-
-    @staticmethod
-    def hermite_forms(monkeypatch, y):
-        """Number of Hermite forms index_closed_form(y) runs, the Smith diagonal already cached."""
-        y.invariant_factors
-        calls = []
-        echelon = indices._echelon
-
-        def counted(rows, width):
-            calls.append(width)
-            return echelon(rows, width)
-
-        monkeypatch.setattr(indices, "_echelon", counted)
-        index_closed_form(y)
-        return len(calls)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_call_up_to_dimension_8(self, monkeypatch, n):
@@ -127,24 +134,100 @@ class TestClosedFormRoute:
         index_closed_form(random_isometry(n, n, 3, n) if n > 1 else identity_isometry(1))
         assert calls == ([n % 2 == 0] if 2 <= n <= 8 else [])
 
-    def test_even_n_takes_half_the_blocks(self, monkeypatch):
-        y = random_isometry(6, 6, 3, 0)
-        # delta_3 > 1, so the gcd never reaches 1 and no block is skipped
-        assert math.prod(y.invariant_factors[:3]) > 1
-        assert self.hermite_forms(monkeypatch, y) <= math.comb(5, 2)
+    def test_even_n_takes_half_the_blocks(self):
+        # on matrices that are not orthogonal, the blocks that hold row 0 miss what
+        # the others carry
+        for block in combinations(range(6), 3):
+            z = unit_rows(6, block)
+            assert minors_gcd_reference(z, 3) == 1
+            assert _row_blocks_minors_gcd(z, 3, holding_row_0=True) == (1 if 0 in block else 0)
+        # doubling row 0 of an isometry doubles the gcd of the blocks that hold it only
+        rows = random_isometry(6, 6, 3, 0).z.to_rows()
+        z = IntMatrix.from_rows([[2 * x for x in rows[0]]] + rows[1:])
+        got = _row_blocks_minors_gcd(z, 3, holding_row_0=True)
+        assert got == minors_gcd_holding_row_0(z, 3) == 2 * minors_gcd_reference(z, 3)
 
-    @pytest.mark.parametrize("n", [5, 7])  # at n = 3, delta_1 is the gcd of the entries, 1
-    def test_odd_n_takes_every_block(self, monkeypatch, n):
-        y = random_isometry(n, n, 3, 0)
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_n_takes_every_block(self, n):
+        # each block alone carries the one nonzero minor, and the walk reaches it
         m = n // 2
-        assert math.prod(y.invariant_factors[:m]) > 1
-        assert self.hermite_forms(monkeypatch, y) == math.comb(n, m)
+        for block in combinations(range(n), m):
+            assert _row_blocks_minors_gcd(unit_rows(n, block), m, holding_row_0=False) == 1
+        y = random_isometry(n, n, 3, 0)
+        assert index_closed_form(y).factors[1] == minors_gcd_reference(y.z, m) > 1
 
     def test_odd_n_blocks_holding_row_0_are_not_enough(self):
         # Jacobi's identity pairs complementary blocks only when n is even
         y = random_isometry(5, 5, 3, 5)
         assert _row_blocks_minors_gcd(y.z, 2, holding_row_0=True) == 197505
         assert index_closed_form(y).factors == (197505, 65835)
+
+
+class TestMinorsGcdAgainstEnumeration:
+    """The closed form's row-block route to delta_i, over every block of i rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            matrices(max_dim=5),  # square, wide and tall
+            matrices(dims=st.tuples(st.integers(1, 3), st.integers(4, 7))),  # wide
+            matrices(dims=st.tuples(st.integers(4, 7), st.integers(1, 3))),  # tall
+        ),
+        st.integers(0, 4),
+        st.integers(-2, 2),
+    )
+    def test_matches_enumeration_at_every_order(self, a, repeats, c):
+        # c times the first row in place of the last `repeats` rows lowers the rank;
+        # for c = 0 they are zero rows
+        repeats = min(repeats, a.rows - 1)
+        rows = a.to_rows()
+        a = IntMatrix.from_rows(rows[: a.rows - repeats] + [[c * x for x in rows[0]]] * repeats)
+        for i in range(1, min(a.rows, a.cols) + 1):
+            try:
+                want = minors_gcd_reference(a, i)
+            except ValueError as exc:
+                assert "vanish" in str(exc)
+                want = 0
+            assert _row_blocks_minors_gcd(a, i, holding_row_0=False) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 6), st.integers(1, 6), st.integers(0, 10**6))
+    def test_isometry_numerators_match_enumeration(self, n, k, bound, seed):
+        z = random_isometry(n, min(k, n), bound, seed).z
+        for i in range(1, n + 1):
+            assert _row_blocks_minors_gcd(z, i, holding_row_0=False) == minors_gcd_reference(z, i)
+
+    @staticmethod
+    def fixed_cases():
+        """Numerators at n = 7 and 8, each also with row 1 set to 3 times row 0."""
+        for n in (7, 8):
+            rows = random_isometry(n, n, 3, 0).z.to_rows()
+            yield IntMatrix.from_rows(rows)
+            yield IntMatrix.from_rows([rows[0], [3 * x for x in rows[0]]] + rows[2:])
+
+    def test_fixed_cases_at_dimensions_7_and_8(self, monkeypatch):
+        # every case takes extended-gcd steps; with row 1 a multiple of row 0, the
+        # prefix (0, 1) leaves no column nonzero at row 1, so p = 0 there and the
+        # rank is n - 1
+        xgcd_steps, pivots = [], []
+        xgcd, fold = indices._xgcd, indices._fold
+
+        def counted_xgcd(a, b):
+            xgcd_steps.append((a, b))
+            return xgcd(a, b)
+
+        def recorded_fold(cols, i):
+            p, rest = fold(cols, i)
+            pivots.append(p)
+            return p, rest
+
+        monkeypatch.setattr(indices, "_xgcd", counted_xgcd)
+        monkeypatch.setattr(indices, "_fold", recorded_fold)
+        for z in self.fixed_cases():
+            for i in range(1, z.rows):
+                assert _row_blocks_minors_gcd(z, i, holding_row_0=False) == minors_gcd_reference(z, i)
+        assert xgcd_steps
+        assert 0 in pivots
 
 
 class TestReflectionFormula:

@@ -4,26 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslindex.indices import _row_blocks_minors_gcd
 from cslindex.isometry import random_isometry
 from cslindex.matrices import IntMatrix, mat_mul
 from cslindex.normalform import _smith_diagonal_mod, _xgcd, smith_normal_form
 from cslindex.rng import Lcg
-from support import det, diagonal_matrix, hermite_normal_form, hnf_lattice_contains, minors_gcd_reference
-
-
-def matrices(max_dim=4, lo=-9, hi=9, dims=None):
-    def build(dims):
-        m, n = dims
-        return st.lists(
-            st.lists(st.integers(lo, hi), min_size=n, max_size=n),
-            min_size=m,
-            max_size=m,
-        ).map(IntMatrix.from_rows)
-
-    if dims is None:
-        dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
-    return dims.flatmap(build)
+from support import (
+    det,
+    diagonal_matrix,
+    hermite_normal_form,
+    hnf_lattice_contains,
+    matrices,
+    minors_gcd_reference,
+)
 
 
 def check_decomposition(a):
@@ -164,41 +156,6 @@ class TestSmithNormalForm:
         d = _smith_diagonal_mod(y.z, y.q)
         assert d == tuple(math.gcd(x, y.q) for x in smith_normal_form(y.z).d)
         assert d[n // 2 :] == (y.q,) * (n - n // 2)
-
-
-class TestMinorsGcdAgainstEnumeration:
-    """The closed form's row-block route to delta_i, over every block of i rows."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(
-            matrices(max_dim=5),  # square, wide and tall
-            matrices(dims=st.tuples(st.integers(1, 3), st.integers(4, 7))),  # wide
-            matrices(dims=st.tuples(st.integers(4, 7), st.integers(1, 3))),  # tall
-        ),
-        st.integers(0, 4),
-        st.integers(-2, 2),
-    )
-    def test_matches_enumeration_at_every_order(self, a, repeats, c):
-        # c times the first row in place of the last `repeats` rows lowers the rank;
-        # for c = 0 they are zero rows
-        repeats = min(repeats, a.rows - 1)
-        rows = a.to_rows()
-        a = IntMatrix.from_rows(rows[: a.rows - repeats] + [[c * x for x in rows[0]]] * repeats)
-        for i in range(1, min(a.rows, a.cols) + 1):
-            try:
-                want = minors_gcd_reference(a, i)
-            except ValueError as exc:
-                assert "vanish" in str(exc)
-                want = 0
-            assert _row_blocks_minors_gcd(a, i, holding_row_0=False) == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 6), st.integers(1, 6), st.integers(0, 10**6))
-    def test_isometry_numerators_match_enumeration(self, n, k, bound, seed):
-        z = random_isometry(n, min(k, n), bound, seed).z
-        for i in range(1, n + 1):
-            assert _row_blocks_minors_gcd(z, i, holding_row_0=False) == minors_gcd_reference(z, i)
 
 
 class TestExternalReference:
