@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computational disagreement (verify/corpus) or a
-failed internal cross-check, 2 input error.  All output is deterministic
-for fixed inputs, flags and seed; --json mirrors the plain fields one for
-one.
+failed internal cross-check, 2 input error, 141 when the reader closes
+stdout early.  Output depends only on the arguments and the input files;
+--json mirrors the plain fields one for one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .spectrum import (
     three_square_decompose,
 )
 
-CAP_ENV_VAR = "CSLINDEX_CAP"
 # the index formulas, by --method name, in the order index and verify report them
 _FORMULAS = {"fortes": index_fortes, "closed": index_closed_form}
 
@@ -53,37 +52,34 @@ class InputError(ValueError):
 
 
 def _cap(args) -> int:
-    """The counting oracle's cap on q^n, from --cap, else CSLINDEX_CAP, else the default."""
-    if args.cap is not None:
-        source, raw = "--cap", args.cap
-    else:
-        source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
-        if raw is None:
-            return DEFAULT_RESIDUE_CAP
+    """The counting oracle's cap on q^n, from --cap, else the default."""
+    if args.cap is None:
+        return DEFAULT_RESIDUE_CAP
     try:
-        cap = int(raw)
+        cap = int(args.cap)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise InputError(f"{source} must be a positive integer, got {raw!r}")
+        raise InputError(f"--cap must be a positive integer, got {args.cap!r}")
     return cap
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse):
+    """parse applied to the text of the matrix file at path; every error names the file."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-
-
-def _read_isometry(path: str) -> RationalIsometry:
-    text = _read_text(path)
     try:
-        return from_rational_matrix(parse_rat_matrix(text))
+        return parse(text)
     except NotOrthogonal as exc:
         raise InputError(f"{path} is not orthogonal: {exc}")
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
+
+
+def _read_isometry(path: str) -> RationalIsometry:
+    return _read(path, lambda text: from_rational_matrix(parse_rat_matrix(text)))
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -127,7 +123,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_snf(args) -> int:
-    dec = smith_normal_form(parse_int_matrix(_read_text(args.matrix)))
+    dec = smith_normal_form(_read(args.matrix, parse_int_matrix))
     _emit(
         args,
         ["d " + " ".join(str(x) for x in dec.d), "P"]
@@ -231,27 +227,20 @@ def _cmd_spectrum(args) -> int:
 def _cmd_decompose(args) -> int:
     if (args.odd is None) == (args.three is None):
         raise InputError("decompose needs exactly one of --odd or --three")
-    if args.odd is not None:
-        w = four_square_odd_decompose(args.odd)
-        _emit(
-            args,
-            [f"{w.target} = " + " + ".join(f"{x}^2" for x in w.squares) + f" gcd={w.content}"],
-            {"target": w.target, "squares": list(w.squares), "content": w.content},
-        )
-        return 0
-    w = three_square_decompose(args.three)
+    w = four_square_odd_decompose(args.odd) if args.odd is not None else three_square_decompose(args.three)
     if w is None:
         _emit(
             args,
             [f"{args.three} not representable (form 4^a(8k+7))"],
             {"target": args.three, "squares": None},
         )
-    else:
-        _emit(
-            args,
-            [f"{w.target} = " + " + ".join(f"{x}^2" for x in w.squares)],
-            {"target": w.target, "squares": list(w.squares), "content": w.content},
-        )
+        return 0
+    gcd = f" gcd={w.content}" if args.odd is not None else ""
+    _emit(
+        args,
+        [f"{w.target} = " + " + ".join(f"{x}^2" for x in w.squares) + gcd],
+        {"target": w.target, "squares": list(w.squares), "content": w.content},
+    )
     return 0
 
 
@@ -315,7 +304,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe is caught here too
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a shell reports SIGPIPE (128 + 13), and
+        # point stdout at devnull so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:  # InputError and every other custom error
         print(f"error: {exc}", file=sys.stderr)
         return 2

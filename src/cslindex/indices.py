@@ -151,7 +151,7 @@ def index_closed_form(y: RationalIsometry) -> IndexReport:
         if by_blocks != delta_m:
             raise CrossCheckFailed(
                 f"invariant-factor product disagrees with the gcd of the {m}x{m} minors "
-                f"from Hermite forms of row blocks: {delta_m} against {by_blocks}"
+                f"from column steps shared across row blocks: {delta_m} against {by_blocks}"
             )
     sigma = y.q**m // delta_m
     return IndexReport(sigma, "closed_form", (y.q, delta_m))

@@ -1,15 +1,18 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
 
 import pytest
 
-from cslindex import indices, isometry, spectrum
+import cslindex
+from cslindex import cli, indices, isometry, spectrum
 from cslindex.cli import main
 from cslindex.matrices import IntMatrix, mat_mul, parse_int_matrix
 from cslindex.normalform import _smith_diagonal_mod
-from cslindex.oracle import IntersectionBasis
+from cslindex.oracle import IntersectionBasis, index_by_counting
 from support import det, diagonal_matrix, rotation_direct_sum
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
@@ -158,7 +161,7 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["verify", "corpus"])
     @pytest.mark.parametrize("cap", ["abc", "0"])
     def test_bad_cap_is_one_input_error(self, capsys, tmp_path, command, cap):
-        # --cap is checked by the same rule as CSLINDEX_CAP, not by argparse
+        # --cap is checked by _cap alone, not by argparse
         f = tmp_path / "rot.txt"
         f.write_text(ROT)
         if command == "verify":
@@ -256,6 +259,15 @@ class TestSnf:
         assert code == 2
         assert out == ""
         assert err == f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n"
+
+    def test_bad_token_names_file(self, capsys, tmp_path):
+        # snf reads its file through the same reader as index, verify and compose
+        f = tmp_path / "bad.txt"
+        f.write_text("2 2\n3 x\n4 3\n")
+        code, out, err = run(capsys, "snf", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {f}: bad integer matrix: invalid literal for int() with base 10: 'x'\n"
 
 
 class TestReflectCompose:
@@ -466,21 +478,58 @@ class TestLargeSigma:
         assert out.startswith("q=") and out.endswith(" agree=yes\n")
 
 
-class TestEnvCap(object):
-    def test_env_override(self, capsys, tmp_path, monkeypatch):
-        f = tmp_path / "rot.txt"
-        f.write_text(ROT)
-        monkeypatch.setenv("CSLINDEX_CAP", "10")
-        code, out, _ = run(capsys, "verify", "--matrix", str(f))
-        assert code == 0
-        assert "oracle_count" not in out
+class TestOutputDependsOnlyOnArguments:
+    @pytest.mark.parametrize("value", ["1", "zero"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--matrix", "{rot}"),
+            ("verify", "--matrix", "{rot}", "--json"),
+            ("corpus", "--dim", "3", "--count", "20", "--seed", "7", "--json"),
+        ],
+        ids=["verify", "verify-json", "corpus-json"],
+    )
+    def test_cap_variable_not_read(self, capsys, tmp_path, monkeypatch, value, args):
+        # CSLINDEX_CAP once duplicated --cap; the cap now comes from --cap alone,
+        # so the same flags print the same output and run the counting oracle as often
+        counted = []
 
-    def test_bad_env_value(self, capsys, tmp_path, monkeypatch):
+        def counting(y, cap):
+            report = index_by_counting(y, cap)
+            counted.append(report)
+            return report
+
+        def outcome():
+            counted.clear()
+            return run(capsys, *argv), len(counted)
+
+        monkeypatch.setattr(cli, "index_by_counting", counting)
         f = tmp_path / "rot.txt"
         f.write_text(ROT)
-        monkeypatch.setenv("CSLINDEX_CAP", "zero")
-        code, _, err = run(capsys, "verify", "--matrix", str(f))
-        assert code == 2
+        argv = [a.format(rot=f) for a in args]
+        monkeypatch.delenv("CSLINDEX_CAP", raising=False)
+        unset = outcome()
+        monkeypatch.setenv("CSLINDEX_CAP", value)
+        assert outcome() == unset
+        assert unset[0][0] == 0 and unset[1] > 0
+
+
+def test_closed_pipe_exits_141_quietly():
+    # two lines of 120 kB each, well past a 64 KiB pipe buffer: closing the pipe
+    # after the first leaves the second unwritten
+    env = dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(cslindex.__file__))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cslindex.cli", "spectrum", "--dim", "60000", "--max", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1\t1" + b",0" * 59999 + b"\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 class TestCrossCheckFailure:
@@ -491,8 +540,10 @@ class TestCrossCheckFailure:
         f.write_text(ROT)
         code, out, err = run(capsys, "index", "--matrix", str(f))
         assert code == 1
-        assert err.startswith("error: invariant-factor product disagrees")
-        assert "Traceback" not in err
+        assert err == (
+            "error: invariant-factor product disagrees with the gcd of the 1x1 minors "
+            "from column steps shared across row blocks: 1 against 0\n"
+        )
 
     def test_closed_form_mismatch_exits_one_odd_n(self, capsys, tmp_path, monkeypatch):
         # odd n takes delta_m from every row block, through the same call
