@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .indices import (
-    CrossCheckFailed,
-    index_closed_form,
-    index_fortes,
-    index_reflection,
-)
+from .indices import CrossCheckFailed, index_reflection
 from .isometry import (
     NotOrthogonal,
     RationalIsometry,
@@ -36,19 +31,15 @@ from .matrices import (
     parse_rat_matrix,
 )
 from .normalform import smith_normal_form
-from .oracle import DEFAULT_RESIDUE_CAP, CapExceeded, index_by_counting, index_by_hnf
+from .oracle import DEFAULT_RESIDUE_CAP, ROUTES, run_routes
 from .spectrum import (
     four_square_odd_decompose,
     reflection_spectrum,
     three_square_decompose,
 )
 
-# the index formulas, by --method name, in the order index and verify report them
-_FORMULAS = {"fortes": index_fortes, "closed": index_closed_form}
-
-
-class InputError(ValueError):
-    pass
+# --method names for the routes that read the Smith diagonal: fortes, closed
+_FORMULAS = {m.split("_")[0]: m for m, (reads_smith, _) in ROUTES.items() if reads_smith}
 
 
 def _cap(args) -> int:
@@ -60,7 +51,7 @@ def _cap(args) -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise InputError(f"--cap must be a positive integer, got {args.cap!r}")
+        raise ValueError(f"--cap must be a positive integer, got {args.cap!r}")
     return cap
 
 
@@ -68,14 +59,14 @@ def _read(path: str, parse):
     """parse applied to the text of the matrix file at path; every error names the file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return parse(text)
     except NotOrthogonal as exc:
-        raise InputError(f"{path} is not orthogonal: {exc}")
+        raise ValueError(f"{path} is not orthogonal: {exc}")
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def _read_isometry(path: str) -> RationalIsometry:
@@ -86,7 +77,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError:
-        raise InputError(f"bad vector {text!r}; expected comma-separated integers")
+        raise ValueError(f"bad vector {text!r}; expected comma-separated integers")
 
 
 def _emit(args, plain_lines, payload) -> None:
@@ -99,10 +90,10 @@ def _emit(args, plain_lines, payload) -> None:
 
 def _cmd_index(args) -> int:
     if (args.matrix is None) == (args.reflect is None):
-        raise InputError("index needs exactly one of --matrix or --reflect")
+        raise ValueError("index needs exactly one of --matrix or --reflect")
     if args.reflect is not None:
         if args.method is not None:
-            raise InputError("--method applies to --matrix only")
+            raise ValueError("--method applies to --matrix only")
         report = index_reflection(_parse_vector(args.reflect))
         _emit(
             args,
@@ -111,11 +102,10 @@ def _cmd_index(args) -> int:
         )
         return 0
     y = _read_isometry(args.matrix)
-    wanted = list(_FORMULAS) if args.method in (None, "all") else [args.method]
+    wanted = _FORMULAS.values() if args.method in (None, "all") else [_FORMULAS[args.method]]
     lines = []
     payload = {}
-    for name in wanted:
-        report = _FORMULAS[name](y)
+    for report in run_routes(y, methods=wanted)[0]:
         lines.append(f"sigma={report.sigma} method={report.method} factors={list(report.factors)}")
         payload[report.method] = {"sigma": report.sigma, "factors": list(report.factors)}
     _emit(args, lines, payload)
@@ -153,30 +143,17 @@ def _cmd_compose(args) -> int:
     try:
         product = compose(left, right)
     except ValueError as exc:
-        raise InputError(f"{args.left}, {args.right}: {exc}")
+        raise ValueError(f"{args.left}, {args.right}: {exc}")
     return _emit_isometry(args, product)
-
-
-def _verify_reports(y: RationalIsometry, cap: int):
-    """Every route's report, whether all agree, and why counting was skipped (None if it ran).
-
-    Counting only runs under its cap.
-    """
-    reports = [formula(y) for formula in _FORMULAS.values()] + [index_by_hnf(y)]
-    skipped = None
-    try:
-        reports.append(index_by_counting(y, cap))
-    except CapExceeded as exc:
-        skipped = exc
-    return reports, len({r.sigma for r in reports}) == 1, skipped
 
 
 def _cmd_verify(args) -> int:
     cap = _cap(args)
     y = _read_isometry(args.matrix)
-    reports, agree, skipped = _verify_reports(y, cap)
-    if skipped is not None:
-        print(f"note: oracle_count skipped: {skipped}", file=sys.stderr)
+    reports, skipped = run_routes(y, cap)
+    for reason in skipped:
+        print(f"note: {reason}", file=sys.stderr)
+    agree = len({r.sigma for r in reports}) == 1
     lines = [f"{r.method} {r.sigma}" for r in reports]
     lines.append(f"verdict {'agree' if agree else 'DISAGREE'}")
     _emit(
@@ -191,7 +168,7 @@ def _cmd_corpus(args) -> int:
     cap = _cap(args)
     for flag, value in (("--count", args.count), ("--reflections", args.reflections)):
         if value < 0:
-            raise InputError(f"{flag} must be a nonnegative integer, got {value}")
+            raise ValueError(f"{flag} must be a nonnegative integer, got {value}")
     corpus = random_corpus(
         args.dim,
         args.count,
@@ -202,7 +179,8 @@ def _cmd_corpus(args) -> int:
     records = []
     ok = True
     for y in corpus:
-        reports, agree, _ = _verify_reports(y, cap)
+        reports = run_routes(y, cap)[0]
+        agree = len({r.sigma for r in reports}) == 1
         ok = ok and agree
         records.append({"q": y.q, "sigma": reports[0].sigma, "agree": agree})
     _emit(
@@ -226,7 +204,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if (args.odd is None) == (args.three is None):
-        raise InputError("decompose needs exactly one of --odd or --three")
+        raise ValueError("decompose needs exactly one of --odd or --three")
     w = four_square_odd_decompose(args.odd) if args.odd is not None else three_square_decompose(args.three)
     if w is None:
         _emit(
@@ -312,7 +290,7 @@ def main(argv=None) -> int:
         # point stdout at devnull so the interpreter's last flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ValueError as exc:  # InputError and every other custom error
+    except ValueError as exc:  # input errors and every ValueError of the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossCheckFailed as exc:

@@ -26,6 +26,9 @@ from .normalform import _smith_diagonal_mod
 from .rng import Lcg
 
 
+_TEXT_BITS = 4096  # NotOrthogonal prints numbers up to this size (about 1,233 digits) in full
+
+
 class NotOrthogonal(ValueError):
     """Raised when a matrix fails the exact orthogonality check Y^T Y = I."""
 
@@ -91,6 +94,9 @@ class RationalIsometry:
         comparison is exact.  Z^T Z is symmetric and columns j < i passed, so
         a mismatch in column i lies at some j >= i: that pair is the first
         failure in row-major order over i <= j, and it is the one reported.
+        The text gives the inner product g / q^2 in full while g and q^2 have
+        at most _TEXT_BITS bits, and their bit lengths above that, since
+        printing an int takes time quadratic in its digits.
         """
         n, z = self.n, self.z
         qsq = self.q * self.q
@@ -105,9 +111,12 @@ class RationalIsometry:
                 expected = qsq if i == j else 0
                 got = sum(map(operator.mul, ci, cols[j]))
                 if got != expected:
+                    if max(got.bit_length(), qsq.bit_length()) <= _TEXT_BITS:
+                        value = Fraction(got, qsq)
+                    else:
+                        value = f"g/q^2 (g has {got.bit_length()} bits, q has {self.q.bit_length()} bits)"
                     raise NotOrthogonal(
-                        f"columns {i} and {j} have inner product "
-                        f"{Fraction(got, qsq)}, expected {0 if i != j else 1}"
+                        f"columns {i} and {j} have inner product {value}, expected {0 if i != j else 1}"
                     )
 
     def as_rational(self) -> RatMatrix:

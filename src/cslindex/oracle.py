@@ -1,4 +1,4 @@
-"""Formula-independent computation of the coincidence index.
+"""Formula-independent oracles for the coincidence index, and `ROUTES`, every route to it.
 
 Two oracles that never look at the invariant factors of Z:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .indices import IndexReport
+from .indices import IndexReport, index_closed_form, index_fortes
 from .isometry import RationalIsometry
 from .matrices import IntMatrix
 from .normalform import _xgcd
@@ -152,3 +152,25 @@ def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
 def index_by_hnf(y: RationalIsometry) -> IndexReport:
     basis = intersection_hnf(y)
     return IndexReport(basis.index, "oracle_hnf", basis.basis.entries[:: y.n + 1])
+
+
+# Every route to Sigma(Y), keyed by the method on its report, in the order verify
+# prints them, as (reads the Smith diagonal, run(y, cap)).  Each entry looks its
+# route up when it runs, so a patched module attribute is seen.
+ROUTES = {
+    "fortes": (True, lambda y, cap: index_fortes(y)),
+    "closed_form": (True, lambda y, cap: index_closed_form(y)),
+    "oracle_hnf": (False, lambda y, cap: index_by_hnf(y)),
+    "oracle_count": (False, lambda y, cap: index_by_counting(y, cap)),
+}
+
+
+def run_routes(y: RationalIsometry, cap: int = DEFAULT_RESIDUE_CAP, methods=ROUTES):
+    """Reports of the routes in methods, in that order, and "<method> skipped: <why>" per capped one."""
+    reports, skipped = [], []
+    for method in methods:
+        try:
+            reports.append(ROUTES[method][1](y, cap))
+        except CapExceeded as exc:
+            skipped.append(f"{method} skipped: {exc}")
+    return reports, skipped

@@ -8,8 +8,9 @@ from decimal import Decimal
 import pytest
 
 import cslindex
-from cslindex import cli, indices, isometry, spectrum
+from cslindex import indices, isometry, oracle, spectrum
 from cslindex.cli import main
+from cslindex.indices import IndexReport
 from cslindex.matrices import IntMatrix, mat_mul, parse_int_matrix
 from cslindex.normalform import _smith_diagonal_mod
 from cslindex.oracle import IntersectionBasis, index_by_counting
@@ -98,6 +99,13 @@ class TestVerify:
             "agree": True,
             "methods": {"closed_form": 1, "fortes": 1, "oracle_count": 1, "oracle_hnf": 1},
         }
+
+    def test_routes_print_in_table_order(self, capsys, tmp_path):
+        f = tmp_path / "id3.txt"
+        f.write_text(ID3)
+        code, out, _ = run(capsys, "verify", "--matrix", str(f))
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == [*oracle.ROUTES, "verdict"]
 
     def test_small_cap_skips_counting(self, capsys, tmp_path):
         f = tmp_path / "rot.txt"
@@ -195,6 +203,18 @@ class TestVerify:
             f"columns 0 and 0 have inner product {product}, expected 1\n"
         )
 
+    def test_not_orthogonal_text_bounded(self, capsys, tmp_path):
+        # the inner product 10^400000 would print as 400,001 digits; its size is named instead
+        f = tmp_path / "huge.txt"
+        f.write_text("2 2\n1e200000 0\n0 1\n")
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {f} is not orthogonal: columns 0 and 0 have inner product "
+            "g/q^2 (g has 1328772 bits, q has 1 bits), expected 1\n"
+        )
+
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("2 2\n1 2\n")
@@ -207,6 +227,21 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: cannot read {f}: [Errno 2] No such file or directory: '{f}'\n"
+
+    @pytest.mark.parametrize("command", ["verify", "snf", "compose"])
+    def test_file_not_utf8_named(self, capsys, tmp_path, command):
+        f = tmp_path / "bin.txt"
+        f.write_bytes(b"\xff\xfe2 2\n")
+        rot = tmp_path / "rot.txt"
+        rot.write_text(ROT)
+        args = {"verify": ["--matrix", str(f)], "snf": [str(f)], "compose": [str(f), str(rot)]}
+        code, out, err = run(capsys, command, *args[command])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
 
 
 class TestSnf:
@@ -503,7 +538,7 @@ class TestOutputDependsOnlyOnArguments:
             counted.clear()
             return run(capsys, *argv), len(counted)
 
-        monkeypatch.setattr(cli, "index_by_counting", counting)
+        monkeypatch.setattr(oracle, "index_by_counting", counting)
         f = tmp_path / "rot.txt"
         f.write_text(ROT)
         argv = [a.format(rot=f) for a in args]
@@ -533,6 +568,30 @@ def test_closed_pipe_exits_141_quietly():
 
 
 class TestCrossCheckFailure:
+    @pytest.mark.parametrize(
+        "args, verdict",
+        [
+            (["verify", "--matrix", "{rot}"], "verdict DISAGREE"),
+            (["corpus", "--dim", "3", "--count", "2", "--seed", "7"], "agree=no"),
+        ],
+        ids=["verify", "corpus"],
+    )
+    def test_route_disagreement_exits_one(self, capsys, tmp_path, monkeypatch, args, verdict):
+        # the routes are looked up when they run, so a patched oracle is what verify and corpus see
+        hnf = oracle.index_by_hnf
+
+        def off_by_one(y):
+            report = hnf(y)
+            return IndexReport(report.sigma + 1, report.method, report.factors)
+
+        monkeypatch.setattr(oracle, "index_by_hnf", off_by_one)
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, err = run(capsys, *(a.format(rot=f) for a in args))
+        assert code == 1
+        assert out.splitlines()[-1].endswith(verdict)
+        assert err == ""
+
     def test_closed_form_mismatch_exits_one(self, capsys, tmp_path, monkeypatch):
         # even n takes delta_m from the row blocks that hold row 0
         monkeypatch.setattr(indices, "_row_blocks_minors_gcd", lambda z, m, holding_row_0: 0)

@@ -283,6 +283,21 @@ class TestFromRationalMatrix:
             from_rational_matrix(RatMatrix.make(z, 63))
         assert str(exc.value) == "columns 0 and 0 have inner product 1/3969, expected 1"
 
+    @pytest.mark.parametrize(
+        "q, top, message",
+        [
+            # g = 2^4094 and q^2 = 1 fit in _TEXT_BITS = 4096 bits: the value is printed
+            (1, 2**2047, None),
+            (1, 2**2048, "columns 0 and 0 have inner product g/q^2 (g has 4097 bits, q has 1 bits), expected 1"),
+            (2**2048, 1, "columns 0 and 0 have inner product g/q^2 (g has 1 bits, q has 2049 bits), expected 1"),
+        ],
+        ids=["in-full", "long-g", "long-q"],
+    )
+    def test_long_inner_product_named_by_size(self, q, top, message):
+        z = IntMatrix.from_rows([[top, 0], [0, 1]])
+        expected = message or verdict(lambda: check_gram_reference(q, z))
+        assert verdict(lambda: RationalIsometry(q, z)) == expected
+
     def test_non_square(self):
         with pytest.raises(ValueError):
             from_rational_matrix(RatMatrix.make(IntMatrix.from_rows([[1, 0]]), 1))

@@ -23,12 +23,14 @@ from cslindex.isometry import (
 from cslindex.matrices import IntMatrix, RatMatrix, mat_mul, parse_rat_matrix
 from cslindex.oracle import (
     DEFAULT_RESIDUE_CAP,
+    ROUTES,
     CapExceeded,
     _hermite_tail_mod,
     index_by_counting,
     index_by_hnf,
     intersection_hnf,
     residue_image_size,
+    run_routes,
 )
 from support import hermite_normal_form, hnf_lattice_contains, rotation_direct_sum
 
@@ -246,16 +248,19 @@ def fresh_draws():
 
 
 class TestOraclesNeverReadSmith:
-    @pytest.mark.parametrize("oracle", [intersection_hnf, index_by_hnf, index_by_counting])
-    def test_no_smith_routine_runs(self, oracle):
-        ran = 0
+    @pytest.mark.parametrize("method", [m for m, (reads_smith, _) in ROUTES.items() if not reads_smith])
+    def test_no_smith_routine_runs(self, method):
+        reports = []
         for y in fresh_draws():
-            if oracle is index_by_counting and y.q**y.n > DEFAULT_RESIDUE_CAP:
-                continue
-            seen = codes_called(oracle, y)
+            seen = codes_called(lambda y: reports.extend(run_routes(y, methods=[method])[0]), y)
             assert not [SMITH_CODE[c] for c in seen if c in SMITH_CODE], (y.n, y.q)
-            ran += 1
-        assert ran >= 10
+        assert len(reports) >= 10
+
+    @pytest.mark.parametrize("method", [m for m, (reads_smith, _) in ROUTES.items() if reads_smith])
+    def test_formulas_read_smith(self, method):
+        for y in fresh_draws():
+            seen = codes_called(lambda y: run_routes(y, methods=[method]), y)
+            assert RationalIsometry.invariant_factors.func.__code__ in seen, (y.n, y.q)
 
     def test_profile_sees_the_routines(self):
         # the probe itself works: the HNF oracle's elimination and a formula's Smith diagonal show
@@ -264,3 +269,16 @@ class TestOraclesNeverReadSmith:
         seen = codes_called(index_fortes, y)
         assert RationalIsometry.invariant_factors.func.__code__ in seen
         assert normalform._smith_diagonal_mod.__code__ in seen
+
+
+class TestRunRoutes:
+    @pytest.mark.parametrize("cap", [1, 30, DEFAULT_RESIDUE_CAP])
+    def test_each_route_reports_or_names_its_skip(self, cap):
+        for y in fresh_draws():
+            reports, skipped = run_routes(y, cap)
+            ran = [r.method for r in reports]
+            not_ran = [m for m in ROUTES if m not in ran]
+            assert ran == [m for m in ROUTES if m in ran]
+            assert len(skipped) == len(not_ran)
+            assert all(reason.startswith(f"{m} skipped: ") for m, reason in zip(not_ran, skipped))
+            assert len({r.sigma for r in reports}) == 1, (y.n, y.q)
