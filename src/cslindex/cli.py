@@ -38,9 +38,6 @@ from .spectrum import (
     three_square_decompose,
 )
 
-# --method names for the routes that read the Smith diagonal: fortes, closed
-_FORMULAS = {m.split("_")[0]: m for m, (reads_smith, _) in ROUTES.items() if reads_smith}
-
 
 def _cap(args) -> int:
     """The counting oracle's cap on q^n, from --cap, else the default."""
@@ -92,8 +89,6 @@ def _cmd_index(args) -> int:
     if (args.matrix is None) == (args.reflect is None):
         raise ValueError("index needs exactly one of --matrix or --reflect")
     if args.reflect is not None:
-        if args.method is not None:
-            raise ValueError("--method applies to --matrix only")
         report = index_reflection(_parse_vector(args.reflect))
         _emit(
             args,
@@ -102,10 +97,10 @@ def _cmd_index(args) -> int:
         )
         return 0
     y = _read_isometry(args.matrix)
-    wanted = _FORMULAS.values() if args.method in (None, "all") else [_FORMULAS[args.method]]
+    formulas = [m for m, (reads_smith, _) in ROUTES.items() if reads_smith]
     lines = []
     payload = {}
-    for report in run_routes(y, methods=wanted)[0]:
+    for report in run_routes(y, methods=formulas)[0]:
         lines.append(f"sigma={report.sigma} method={report.method} factors={list(report.factors)}")
         payload[report.method] = {"sigma": report.sigma, "factors": list(report.factors)}
     _emit(args, lines, payload)
@@ -239,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("index", _cmd_index, "compute Sigma by formula")
     p.add_argument("--matrix", help="rational matrix file")
     p.add_argument("--reflect", help="axis vector, e.g. 1,1,1")
-    p.add_argument("--method", choices=[*_FORMULAS, "all"])  # --matrix only; all by default
 
     p = add("snf", _cmd_snf, "Smith normal form with transforms")
     p.add_argument("matrix", help="integer matrix file")

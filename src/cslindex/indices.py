@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .isometry import CrossCheckFailed, RationalIsometry, ReflectionAxis
+from .isometry import CrossCheckFailed, RationalIsometry, ReflectionAxis, _text
 from .matrices import IntMatrix
 from .normalform import _xgcd
 
@@ -151,7 +151,8 @@ def index_closed_form(y: RationalIsometry) -> IndexReport:
         if by_blocks != delta_m:
             raise CrossCheckFailed(
                 f"invariant-factor product disagrees with the gcd of the {m}x{m} minors "
-                f"from column steps shared across row blocks: {delta_m} against {by_blocks}"
+                f"from column steps shared across row blocks: "
+                f"{_text(delta_m)} against {_text(by_blocks)}"
             )
     sigma = y.q**m // delta_m
     return IndexReport(sigma, "closed_form", (y.q, delta_m))

@@ -26,7 +26,15 @@ from .normalform import _smith_diagonal_mod
 from .rng import Lcg
 
 
-_TEXT_BITS = 4096  # NotOrthogonal prints numbers up to this size (about 1,233 digits) in full
+# error texts print numbers up to this size (about 1,233 digits) in full and only their bit
+# length above it: the library keeps Python's limit on digits for int to str, and printing
+# an int takes time quadratic in its digits
+_TEXT_BITS = 4096
+
+
+def _text(x: int) -> str:
+    """x in full up to _TEXT_BITS bits, else its bit length."""
+    return str(x) if x.bit_length() <= _TEXT_BITS else f"an integer of {x.bit_length()} bits"
 
 
 class NotOrthogonal(ValueError):
@@ -67,7 +75,8 @@ class RationalIsometry:
         Then z^T z = q^2 I + (r v^T v - 2q)(qI - z), so z is orthogonal exactly
         when r v^T v == 2q, and z / q is the reflection along v.  With u the
         row k of qI - z that has p = u_k != 0, the shape means p (qI - z) = u u^T;
-        then p divides gcd(u)^2 = c^2, v = u / c and r = c^2 / p.
+        then p divides gcd(u)^2 = c^2, v = u / c and r = c^2 / p = c / (p / c),
+        since c divides p.
         """
         q, z = self.q, self.z
         k = next((i for i in range(self.n) if z.at(i, i) != q), None)
@@ -76,7 +85,7 @@ class RationalIsometry:
         u = [-x for x in z.row(k)]
         u[k] += q
         c = math.gcd(*u)
-        r, rem = divmod(c * c, u[k])
+        r, rem = divmod(c, u[k] // c)
         if rem:
             return None
         v = tuple(x // c for x in u)
@@ -137,7 +146,7 @@ class RationalIsometry:
         for i in range(m, self.n):
             if d[i] != q:
                 raise CrossCheckFailed(
-                    f"Smith diagonal mod q = {q} has {d[i]} at position {i + 1}, "
+                    f"Smith diagonal mod q = {_text(q)} has {_text(d[i])} at position {i + 1}, "
                     f"expected q past the middle"
                 )
         head = d[:m]

@@ -120,6 +120,10 @@ class RatMatrix:
 
 # integer or p/q with unsigned q; \d matches the Unicode digits int() reads
 _RATIO_TOKEN = re.compile(r"([-+]?\d+)(?:/(\d+))?")
+# Fraction reads exponents, so the 9 characters "1e1000000" stand for a million digits;
+# an exponent past Python's default limit on digits for int to str is an input error
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 
 
 def format_int_matrix(a: IntMatrix) -> str:
@@ -162,7 +166,9 @@ def _ratio(token: str) -> tuple[int, int]:
     """(p, d) with token = p/d and d > 0, not necessarily in lowest terms.
 
     Integers and p/q go straight to int(); every other token, and p/0, goes
-    through Fraction, which accepts the same p and q and gives every error.
+    through Fraction, which accepts the same p and q and gives every error
+    but one: an exponent beyond _MAX_EXPONENT in absolute value is rejected
+    first, without converting its digits.
     """
     m = _RATIO_TOKEN.fullmatch(token)
     if m:
@@ -171,6 +177,12 @@ def _ratio(token: str) -> tuple[int, int]:
         d = 1 if d is None else int(d)
         if d:
             return p, d
+    exp = _EXPONENT.search(token)
+    if exp:
+        digits = exp[1].replace("_", "")
+        # a nonzero digit before the last four (of any script, so not lstrip("0")) is >= 10^4
+        if any(map(int, digits[:-4])) or int(digits[-4:]) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT} in absolute value")
     f = Fraction(token)
     return f.numerator, f.denominator
 

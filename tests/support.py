@@ -2,6 +2,7 @@
 
 import math
 import operator
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -101,11 +102,20 @@ def minors_gcd_reference(a: IntMatrix, i: int) -> int:
     return g
 
 
+def _fraction_reference(token: str) -> Fraction:
+    """Fraction(token), except that an exponent beyond 4300 in absolute value is an error."""
+    exponent = re.fullmatch(r".*[eE][-+]?(\d[\d_]*)", token)
+    if exponent and int(exponent[1].replace("_", "")) > 4300:
+        raise ValueError("exponent beyond 4300 in absolute value")
+    return Fraction(token)
+
+
 def parse_rat_matrix_reference(text: str) -> RatMatrix:
-    """Reference for parse_rat_matrix: every token through Fraction's string parser."""
+    """Reference for parse_rat_matrix: every token through Fraction's string parser,
+    with exponents bounded."""
     body = _parse_header_and_tokens(text)
     try:
-        rows = [[Fraction(t) for t in row] for row in body]
+        rows = [[_fraction_reference(t) for t in row] for row in body]
         den = math.lcm(*(x.denominator for row in rows for x in row))
         num = IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in row] for row in rows])
         return RatMatrix.make(num, den)

@@ -52,7 +52,7 @@ class TestIndex:
         # m = floor(1/2) = 0, so delta_0 = 1 and Sigma = 1
         f = tmp_path / "one.txt"
         f.write_text(ONE)
-        code, out, _ = run(capsys, "index", "--matrix", str(f), "--method", "all")
+        code, out, _ = run(capsys, "index", "--matrix", str(f))
         assert code == 0
         assert out.splitlines() == [
             "sigma=1 method=fortes factors=[1]",
@@ -64,20 +64,17 @@ class TestIndex:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("method", ["fortes", "closed", "all"])
-    def test_method_with_reflect_rejected(self, capsys, method):
-        # --method picks a formula for --matrix; the reflection rule takes none
-        code, out, err = run(capsys, "index", "--reflect", "1,1,1", "--method", method)
-        assert code == 2
-        assert out == ""
-        assert "--method" in err
-
-    def test_matrix_defaults_to_all_methods(self, capsys, tmp_path):
+    @pytest.mark.parametrize("source", [["--matrix", "{rot}"], ["--reflect", "1,1,1"]])
+    def test_method_option_gone(self, capsys, tmp_path, source):
+        # --matrix prints every route that reads the Smith diagonal; there is no choice to make
         f = tmp_path / "rot.txt"
         f.write_text(ROT)
-        _, default, _ = run(capsys, "index", "--matrix", str(f))
-        _, explicit, _ = run(capsys, "index", "--matrix", str(f), "--method", "all")
-        assert default == explicit
+        with pytest.raises(SystemExit) as exit_:
+            main(["index", *(a.format(rot=f) for a in source), "--method", "all"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --method all" in captured.err
 
 
 class TestVerify:
@@ -204,16 +201,26 @@ class TestVerify:
         )
 
     def test_not_orthogonal_text_bounded(self, capsys, tmp_path):
-        # the inner product 10^400000 would print as 400,001 digits; its size is named instead
+        # the inner product 10^4000 would print as 4,001 digits; its size is named instead
         f = tmp_path / "huge.txt"
-        f.write_text("2 2\n1e200000 0\n0 1\n")
+        f.write_text(f"2 2\n1{'0' * 2000} 0\n0 1\n")
         code, out, err = run(capsys, "verify", "--matrix", str(f))
         assert code == 2
         assert out == ""
         assert err == (
             f"error: {f} is not orthogonal: columns 0 and 0 have inner product "
-            "g/q^2 (g has 1328772 bits, q has 1 bits), expected 1\n"
+            "g/q^2 (g has 13288 bits, q has 1 bits), expected 1\n"
         )
+
+    @pytest.mark.parametrize("token", ["1e1000000", "1e-1000000", "1e1_000_000"])
+    def test_exponent_token_bounded(self, capsys, tmp_path, token):
+        # nine characters that stand for a million digits are rejected before any is made
+        f = tmp_path / "exp.txt"
+        f.write_text(f"2 2\n{token} 0\n0 1\n")
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {f}: bad rational matrix: exponent beyond 4300 in absolute value\n"
 
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslindex import indices
+from cslindex import indices, isometry
 from cslindex.indices import (
     CoprimalityViolated,
     _row_blocks_minors_gcd,
@@ -17,6 +17,7 @@ from cslindex.indices import (
     index_reflection,
 )
 from cslindex.isometry import (
+    CrossCheckFailed,
     RationalIsometry,
     compose,
     from_rational_matrix,
@@ -94,6 +95,33 @@ class TestClosedForm:
         # block with its complement
         y = random_isometry(n, k, bound, seed)
         assert self.even_route(y) == minors_gcd_reference(y.z, n // 2)
+
+
+class TestCrossCheckTextsBounded:
+    # the library keeps Python's limit of 4,300 digits for int to str, so a text
+    # that printed q in full would raise ValueError in place of CrossCheckFailed
+    @staticmethod
+    def big_rotation():
+        """The rotation of the triple (u^2 - v^2, 2uv, u^2 + v^2): q has 15,281 bits, or 4,601 digits."""
+        u, v = 10**2300 + 1, 2
+        a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
+        return RationalIsometry(c, IntMatrix(2, 2, (a, -b, b, a)))
+
+    def test_smith_diagonal_tail(self, monkeypatch):
+        y = self.big_rotation()
+        monkeypatch.setattr(isometry, "_smith_diagonal_mod", lambda z, modulus: (1,) * z.rows)
+        with pytest.raises(CrossCheckFailed) as failed:
+            y.invariant_factors
+        assert str(failed.value) == (
+            "Smith diagonal mod q = an integer of 15281 bits has 1 at position 2, expected q past the middle"
+        )
+
+    def test_closed_form_blocks(self, monkeypatch):
+        y = self.big_rotation()
+        monkeypatch.setattr(indices, "_row_blocks_minors_gcd", lambda z, m, holding_row_0: y.q)
+        with pytest.raises(CrossCheckFailed) as failed:
+            index_closed_form(y)
+        assert str(failed.value).endswith("row blocks: 1 against an integer of 15281 bits")
 
 
 def minors_gcd_holding_row_0(a: IntMatrix, i: int) -> int:

@@ -172,11 +172,20 @@ class TestTextFormat:
     @pytest.mark.parametrize(
         "token",
         ["3/-5", "3/0", "0/0", "1/00", "1.5", "1e3", "1_000", "٣/٥", "0005/0010", "-0/7", "+12/08"]
+        + ["6e-1", "-.25", "1e4300", "-2.5E-0_4_3_0_0", "1e٠٠٠٠٠٠٥"]
         # past int()'s default limit of 4300 digits
         + [pytest.param("1" * 5000, id="5000-digit"), pytest.param("1/" + "2" * 5000, id="5000-digit-q")],
     )
     def test_rat_edge_token_matches_fraction_parser(self, token):
         assert_parses_like_reference(f"1 2\n{token} 1/3\n")
+
+    @pytest.mark.parametrize(
+        "token", ["1e1000000", "1e-1000000", "1e1_000_000", "1e4301", "-2.5E-0_4_3_0_1", "1e٠٠٠٠٤٣٠١"]
+    )
+    def test_exponent_bound(self, token):
+        # Fraction would make 10^|exponent|; the parser rejects the token first
+        with pytest.raises(ValueError, match="^bad rational matrix: exponent beyond 4300 in absolute value$"):
+            parse_rat_matrix(f"1 2\n{token} 1/3\n")
 
 
 class TestRatMatrix:
