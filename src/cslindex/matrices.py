@@ -124,6 +124,8 @@ _RATIO_TOKEN = re.compile(r"([-+]?\d+)(?:/(\d+))?")
 # an exponent past Python's default limit on digits for int to str is an input error
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
+# the longest token an error text echoes
+_MAX_ECHOED_TOKEN = 64
 
 
 def format_int_matrix(a: IntMatrix) -> str:
@@ -168,7 +170,9 @@ def _ratio(token: str) -> tuple[int, int]:
     Integers and p/q go straight to int(); every other token, and p/0, goes
     through Fraction, which accepts the same p and q and gives every error
     but one: an exponent beyond _MAX_EXPONENT in absolute value is rejected
-    first, without converting its digits.
+    first, without converting its digits.  Fraction's error texts echo the
+    token, so for a token longer than _MAX_ECHOED_TOKEN characters the error
+    names its length instead.
     """
     m = _RATIO_TOKEN.fullmatch(token)
     if m:
@@ -183,7 +187,12 @@ def _ratio(token: str) -> tuple[int, int]:
         # a nonzero digit before the last four (of any script, so not lstrip("0")) is >= 10^4
         if any(map(int, digits[:-4])) or int(digits[-4:]) > _MAX_EXPONENT:
             raise ValueError(f"exponent beyond {_MAX_EXPONENT} in absolute value")
-    f = Fraction(token)
+    try:
+        f = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        if len(token) <= _MAX_ECHOED_TOKEN:
+            raise
+        raise ValueError(f"invalid token of {len(token)} characters") from None
     return f.numerator, f.denominator
 
 

@@ -102,6 +102,51 @@ def minors_gcd_reference(a: IntMatrix, i: int) -> int:
     return g
 
 
+def residue_image_size_reference(z: IntMatrix, q: int) -> int:
+    """Reference for residue_image_size: subgroup closure over tuples mod the whole of q.
+
+    Column by column, the group H grows by the cosets H + g, H + 2g, ... up
+    to the first multiple of g that lies in H; q is not split into parts.
+    """
+    group = {(0,) * z.rows}
+    for col in z.columns():
+        g = tuple(x % q for x in col)
+        base = list(group)
+        step = g
+        while step not in group:
+            group.update(tuple((a + b) % q for a, b in zip(h, step)) for h in base)
+            step = tuple((a + b) % q for a, b in zip(step, g))
+    return len(group)
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth digits: int() and Fraction read all four
+DIGITS = "0123456789" + "٠١٢٣٤٥٦٧٨٩" + "०१२३४५६७८९" + "０１２３４５６７８９"
+
+
+def matrix_tokens():
+    """Matrix entries: integers and p/q with signs, leading zeros, zero denominators,
+    decimals, exponents, underscores, non-ASCII digits, and malformed strings."""
+    sign = st.sampled_from(["", "-", "+"])
+    ascii_digits = st.text("0123456789", min_size=1, max_size=5)
+    any_digits = st.one_of(ascii_digits, st.text(DIGITS, min_size=1, max_size=4))
+    integer = st.tuples(sign, any_digits).map("".join)
+    ratio = st.tuples(integer, any_digits).map("/".join)
+    decimal = st.tuples(sign, st.text("0123456789", max_size=3), st.text("0123456789", max_size=3)).map(
+        lambda t: f"{t[0]}{t[1]}.{t[2]}"
+    )
+    exponent = st.tuples(st.one_of(integer, decimal), st.sampled_from("eE"), sign, st.integers(0, 3)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}"
+    )
+    underscored = st.lists(ascii_digits, min_size=1, max_size=3).map("_".join).flatmap(
+        lambda t: st.sampled_from([t, f"_{t}", f"{t}_", t.replace("_", "__"), f"{t}/1_0"])
+    )
+    malformed = st.one_of(
+        st.sampled_from(["x", "1/", "/2", "1//2", "--1", "+-1", "3/-5", "1/2/3", "nan", "inf", "0x10", "1.2.3", "e5", "/"]),
+        st.text("0123456789-+/._eE", min_size=1, max_size=6),
+    )
+    return st.one_of(integer, ratio, decimal, exponent, underscored, malformed)
+
+
 def _fraction_reference(token: str) -> Fraction:
     """Fraction(token), except that an exponent beyond 4300 in absolute value is an error."""
     exponent = re.fullmatch(r".*[eE][-+]?(\d[\d_]*)", token)

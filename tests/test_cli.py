@@ -1,20 +1,25 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cslindex
 from cslindex import indices, isometry, oracle, spectrum
 from cslindex.cli import main
 from cslindex.indices import IndexReport
-from cslindex.matrices import IntMatrix, mat_mul, parse_int_matrix
+from cslindex.matrices import IntMatrix, format_rat_matrix, mat_mul, parse_int_matrix
 from cslindex.normalform import _smith_diagonal_mod
 from cslindex.oracle import IntersectionBasis, index_by_counting
-from support import det, diagonal_matrix, rotation_direct_sum
+from support import det, diagonal_matrix, matrix_tokens, rotation_direct_sum
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
@@ -221,6 +226,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: {f}: bad rational matrix: exponent beyond 4300 in absolute value\n"
+
+    def test_long_malformed_token_bounded(self, capsys, tmp_path):
+        # Fraction would echo all million characters of the token
+        f = tmp_path / "long.txt"
+        f.write_text(f"2 2\n{'x' * 10**6} 0\n0 1\n")
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {f}: bad rational matrix: invalid token of 1000000 characters\n"
 
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -639,3 +653,115 @@ class TestCrossCheckFailure:
         assert out == ""
         assert err.startswith("error: Smith diagonal mod q = 5 has 1 at position 2")
         assert "Traceback" not in err
+
+
+# --- main in process on argv drawn from the parser's grammar ------------------
+
+FUZZ_SECONDS = 5  # per call; each call here takes milliseconds
+
+
+class Hang(Exception):
+    """Raised by the alarm; main catches none of its bases."""
+
+
+def _small_int(lo, hi):
+    """An integer flag value in [lo, hi], or, one time in four, text that is not one."""
+    value = st.integers(lo, hi).map(str)
+    return st.one_of(value, value, value, st.sampled_from(["", "x", "1.5", "1e3", "0x10", "٣", " 3"]))
+
+
+def _vector():
+    """An axis flag value: comma-separated integers, or other text."""
+    return st.one_of(
+        st.lists(st.integers(-5, 5), max_size=5).map(lambda v: ",".join(map(str, v))),
+        st.text("0123456789-, x", max_size=8),
+    )
+
+
+@st.composite
+def _matrix_text(draw):
+    """Bytes of a matrix file: random bytes, random tokens, or an isometry."""
+    kind = draw(st.sampled_from(["bytes", "tokens", "isometry"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    if kind == "isometry":
+        n = draw(st.integers(2, 4))
+        axes = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3))
+        axes = [v for v in axes if any(v)] or [[1] * n]
+        y = isometry.compose(*(isometry.reflection(v) for v in axes))
+        return format_rat_matrix(y.as_rational()).encode()
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    body = draw(
+        st.lists(st.lists(matrix_tokens(), min_size=cols, max_size=cols), min_size=rows, max_size=rows + 1)
+    )
+    return (f"{rows} {cols}\n" + "".join(" ".join(row) + "\n" for row in body)).encode()
+
+
+@st.composite
+def _argv(draw, files):
+    """argv for one subcommand with small or malformed values: a required option is left
+    out one time in ten, any other one time in two.  files[0] and files[1] hold drawn
+    matrix texts, the other paths name a directory or nothing."""
+    path = st.sampled_from(files)
+    command = draw(st.sampled_from(["index", "snf", "reflect", "compose", "verify", "corpus", "spectrum", "decompose", "--version"]))
+    # what argparse requires
+    required = {"reflect --vector", "verify --matrix", "corpus --dim", "corpus --count", "corpus --seed"}
+    required |= {"spectrum --dim", "spectrum --max"}
+    options = {
+        "index": [("--matrix", path), ("--reflect", _vector())],
+        "reflect": [("--vector", _vector())],
+        "verify": [("--matrix", path), ("--cap", _small_int(-1, 10**4))],
+        "corpus": [
+            ("--dim", _small_int(-1, 6)),
+            ("--count", _small_int(-1, 5)),
+            ("--seed", _small_int(-5, 10**6)),
+            ("--reflections", _small_int(-1, 6)),
+            ("--bound", _small_int(-1, 8)),
+            ("--cap", _small_int(-1, 10**4)),
+        ],
+        "spectrum": [("--dim", _small_int(-1, 6)), ("--max", _small_int(-1, 60))],
+        "decompose": [("--odd", _small_int(-3, 10**4)), ("--three", _small_int(-3, 10**4))],
+    }
+    positional = {"snf": 1, "compose": 2}
+    argv = [command]
+    for _ in range(positional.get(command, 0)):
+        argv.append(draw(path))
+    for flag, value in options.get(command, []):
+        if draw(st.integers(0, 9)) >= (1 if f"{command} {flag}" in required else 5):
+            argv += [flag, draw(value)]
+    if command != "--version" and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@pytest.fixture(scope="class")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), texts=st.tuples(_matrix_text(), _matrix_text()))
+    def test_exits_0_1_or_2_without_traceback(self, fuzz_dir, data, texts):
+        files = [fuzz_dir / "a.txt", fuzz_dir / "b.txt"]
+        for f, text in zip(files, texts):
+            f.write_bytes(text)
+        argv = data.draw(_argv([str(f) for f in files] + [str(fuzz_dir), str(fuzz_dir / "missing.txt")]))
+
+        def hang(signum, frame):
+            raise Hang(f"main({argv}) ran past {FUZZ_SECONDS} s")
+
+        before = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(FUZZ_SECONDS)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: usage errors and --version
+                    code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, before)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

@@ -15,37 +15,9 @@ from cslindex.matrices import (
     parse_rat_matrix,
 )
 from cslindex.indices import _row_blocks_minors_gcd
-from support import det, diagonal_matrix, parse_rat_matrix_reference, transpose
+from support import det, diagonal_matrix, matrix_tokens, parse_rat_matrix_reference, transpose
 
 Z_ROT = IntMatrix.from_rows([[3, -4], [4, 3]])
-
-# ASCII, Arabic-Indic, Devanagari and fullwidth digits: int() and Fraction read all four
-DIGITS = "0123456789" + "٠١٢٣٤٥٦٧٨٩" + "०१२३४५६७८९" + "０１２３４５６７８９"
-
-
-def _tokens():
-    """Matrix entries: integers and p/q with signs, leading zeros, zero denominators,
-    decimals, exponents, underscores, non-ASCII digits, and malformed strings."""
-    sign = st.sampled_from(["", "-", "+"])
-    ascii_digits = st.text("0123456789", min_size=1, max_size=5)
-    any_digits = st.one_of(ascii_digits, st.text(DIGITS, min_size=1, max_size=4))
-    integer = st.tuples(sign, any_digits).map("".join)
-    ratio = st.tuples(integer, any_digits).map("/".join)
-    decimal = st.tuples(sign, st.text("0123456789", max_size=3), st.text("0123456789", max_size=3)).map(
-        lambda t: f"{t[0]}{t[1]}.{t[2]}"
-    )
-    exponent = st.tuples(st.one_of(integer, decimal), st.sampled_from("eE"), sign, st.integers(0, 3)).map(
-        lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}"
-    )
-    underscored = st.lists(ascii_digits, min_size=1, max_size=3).map("_".join).flatmap(
-        lambda t: st.sampled_from([t, f"_{t}", f"{t}_", t.replace("_", "__"), f"{t}/1_0"])
-    )
-    malformed = st.one_of(
-        st.sampled_from(["x", "1/", "/2", "1//2", "--1", "+-1", "3/-5", "1/2/3", "nan", "inf", "0x10", "1.2.3", "e5", "/"]),
-        st.text("0123456789-+/._eE", min_size=1, max_size=6),
-    )
-    return st.one_of(integer, ratio, decimal, exponent, underscored, malformed)
-
 
 def assert_parses_like_reference(text):
     """parse_rat_matrix gives the reference's RatMatrix, or a ValueError with the same text."""
@@ -161,7 +133,7 @@ class TestTextFormat:
     @settings(max_examples=200)
     @given(
         st.integers(1, 3).flatmap(
-            lambda cols: st.lists(st.lists(_tokens(), min_size=cols, max_size=cols), min_size=1, max_size=3)
+            lambda cols: st.lists(st.lists(matrix_tokens(), min_size=cols, max_size=cols), min_size=1, max_size=3)
         )
     )
     def test_rat_matches_fraction_parser(self, grid):
@@ -186,6 +158,23 @@ class TestTextFormat:
         # Fraction would make 10^|exponent|; the parser rejects the token first
         with pytest.raises(ValueError, match="^bad rational matrix: exponent beyond 4300 in absolute value$"):
             parse_rat_matrix(f"1 2\n{token} 1/3\n")
+
+    @pytest.mark.parametrize(
+        "token, text",
+        [
+            ("x" * 64, "Invalid literal for Fraction: '" + "x" * 64 + "'"),
+            ("x" * 65, "invalid token of 65 characters"),
+            ("x" * 10**6, "invalid token of 1000000 characters"),
+            ("1" * 62 + "/0", "Fraction(" + "1" * 62 + ", 0)"),
+            ("1" * 63 + "/0", "invalid token of 65 characters"),
+        ],
+        ids=["64-echoed", "65", "million", "p/0-echoed", "p/0-long"],
+    )
+    def test_fraction_error_text_bounded(self, token, text):
+        # Fraction's texts echo the token; past 64 characters the token is named by its length
+        with pytest.raises(ValueError) as exc:
+            parse_rat_matrix(f"1 2\n{token} 1/3\n")
+        assert str(exc.value) == f"bad rational matrix: {text}"
 
 
 class TestRatMatrix:

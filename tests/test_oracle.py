@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cslindex
-from cslindex import normalform
+from cslindex import normalform, oracle
 from cslindex.indices import index_fortes
 from cslindex.isometry import (
     RationalIsometry,
@@ -25,6 +26,8 @@ from cslindex.oracle import (
     DEFAULT_RESIDUE_CAP,
     ROUTES,
     CapExceeded,
+    _closure_size,
+    _coprime_parts,
     _hermite_tail_mod,
     index_by_counting,
     index_by_hnf,
@@ -32,7 +35,12 @@ from cslindex.oracle import (
     residue_image_size,
     run_routes,
 )
-from support import hermite_normal_form, hnf_lattice_contains, rotation_direct_sum
+from support import (
+    hermite_normal_form,
+    hnf_lattice_contains,
+    residue_image_size_reference,
+    rotation_direct_sum,
+)
 
 ROT_2D = from_rational_matrix(
     RatMatrix.make(IntMatrix.from_rows([[3, -4], [4, 3]]), 5)
@@ -101,6 +109,80 @@ class TestCounting:
         )
         assert residue_image_size(y.z, y.q) * kernel == y.q**n
         assert index_by_counting(y).factors == (y.q, kernel)
+
+
+def prime_power_parts(q):
+    """The p-part of q for every prime p dividing q, in increasing order of p, testing every p <= q."""
+    parts = []
+    for p in range(2, q + 1):
+        if q % p == 0 and all(p % d for d in range(2, p)):
+            part = p
+            while q % (part * p) == 0:
+                part *= p
+            parts.append(part)
+    return parts
+
+
+@st.composite
+def isometries_with_coprime_parts(draw):
+    """random_isometry(n, k, bound, s) with q^n <= 10^5 and at least two primes in q:
+    the first such s among 64 seeds from a drawn one."""
+    n, k, bound = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    for s in range(seed, seed + 64):
+        y = random_isometry(n, k, bound, s)
+        if y.q**n <= 10**5 and len(prime_power_parts(y.q)) >= 2:
+            return y
+    assume(False)
+
+
+class TestCoprimeSplit:
+    @pytest.mark.parametrize(
+        "q, parts",
+        [
+            (1, []),
+            (2, [2]),
+            (97, [97]),
+            (10007, [10007]),
+            (2**10, [2**10]),
+            (3**2 * 5 * 7, [9, 5, 7]),
+            (2 * 10007, [2, 10007]),
+            (10007**2, [10007**2]),
+            (2**3 * 3 * 101 * 9973, [8, 3, 101, 9973]),
+        ],
+    )
+    def test_parts(self, q, parts):
+        assert _coprime_parts(q) == parts
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 10**5))
+    def test_parts_are_the_prime_powers(self, q):
+        parts = _coprime_parts(q)
+        assert math.prod(parts) == q
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(parts, 2))
+        assert parts == prime_power_parts(q)
+
+    def test_q_one(self):
+        z = IntMatrix.from_rows([[3, -4], [4, 3]])
+        assert residue_image_size(z, 1) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(isometries_with_coprime_parts())
+    def test_one_closure_per_part_matches_whole_q(self, y):
+        with mock.patch.object(oracle, "_closure_size", wraps=oracle._closure_size) as closure:
+            size = residue_image_size(y.z, y.q)
+        assert [c.args[1] for c in closure.call_args_list] == prime_power_parts(y.q)
+        assert size == residue_image_size_reference(y.z, y.q) == index_by_hnf(y).sigma
+
+    @pytest.mark.parametrize("m", [2**5 - 1, 2**5, 2**8 - 1, 2**8])
+    def test_fields_at_the_bit_boundary(self, m):
+        # six rows; entries m - 1 and m - 2 make sums of two fields reach 2m - 2.
+        # 255 = 3 * 5 * 17 splits, so the closure also runs on the whole of it
+        z = IntMatrix.from_rows(
+            [[-1, 1], [-1, -1], [-2, m // 2], [-1, 0], [m - 1, -2], [2 * m - 1, m + 1]]
+        )
+        want = residue_image_size_reference(z, m)
+        assert residue_image_size(z, m) == _closure_size(z, m) == want == m * m
 
 
 def test_import_leaves_numpy_out():
