@@ -71,7 +71,11 @@ def _read_isometry(path: str) -> RationalIsometry:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
+    fields = text.split(",")
     try:
+        # an empty field before, between or after commas is an error, not skipped
+        if len(fields) > 1 and not all(map(str.strip, fields)):
+            raise ValueError
         return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"bad vector {text!r}; expected comma-separated integers")

@@ -114,16 +114,16 @@ class RatMatrix:
 # --- text format -----------------------------------------------------------
 #
 # First line: "rows cols".  Then one line per row of whitespace-separated
-# tokens; integer tokens for IntMatrix.  A RatMatrix token is an integer or
-# "p/q", or any other string that Fraction accepts (decimals, exponents,
-# and on Python 3.11+ underscores between digits).
-
-# integer or p/q with unsigned q; \d matches the Unicode digits int() reads
-_RATIO_TOKEN = re.compile(r"([-+]?\d+)(?:/(\d+))?")
-# Fraction reads exponents, so the 9 characters "1e1000000" stand for a million digits;
-# an exponent past Python's default limit on digits for int to str is an input error
+# tokens; integer tokens for IntMatrix.  A RatMatrix token is read as Fraction
+# reads a string on Python 3.13, on every Python: an optional sign, digits with
+# single underscores between them, then "/q", or an optional ".digits" (the
+# digits on one side of the point may be left out) and an optional exponent
+# "e±digits" or "E±digits".  \d matches the Unicode digits int() reads.
+_RUN = r"\d+(?:_\d+)*"
+# groups: p with its sign (no digits only before ".digits"), q, digits after the point, exponent
+_ENTRY = re.compile(rf"([-+]?(?:{_RUN}|(?=\.\d)))(?:/({_RUN})|(?:\.({_RUN})?)?(?:[eE]([-+]?{_RUN}))?)")
+# an exponent past Python's default limit on digits for int to str is an input error ("1e1000000")
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
 # the longest token an error text echoes
 _MAX_ECHOED_TOKEN = 64
 
@@ -167,33 +167,32 @@ def parse_int_matrix(text: str) -> IntMatrix:
 def _ratio(token: str) -> tuple[int, int]:
     """(p, d) with token = p/d and d > 0, not necessarily in lowest terms.
 
-    Integers and p/q go straight to int(); every other token, and p/0, goes
-    through Fraction, which accepts the same p and q and gives every error
-    but one: an exponent beyond _MAX_EXPONENT in absolute value is rejected
-    first, without converting its digits.  Fraction's error texts echo the
-    token, so for a token longer than _MAX_ECHOED_TOKEN characters the error
-    names its length instead.
+    _ENTRY alone decides which tokens parse.  An exponent beyond _MAX_EXPONENT
+    in absolute value is rejected before its power is made; every other
+    rejection, p/0 too, is an invalid token, quoted up to _MAX_ECHOED_TOKEN characters.
     """
-    m = _RATIO_TOKEN.fullmatch(token)
+    m = _ENTRY.fullmatch(token)
     if m:
-        p, d = m.groups()
-        p = int(p)
-        d = 1 if d is None else int(d)
-        if d:
-            return p, d
-    exp = _EXPONENT.search(token)
-    if exp:
-        digits = exp[1].replace("_", "")
-        # a nonzero digit before the last four (of any script, so not lstrip("0")) is >= 10^4
-        if any(map(int, digits[:-4])) or int(digits[-4:]) > _MAX_EXPONENT:
-            raise ValueError(f"exponent beyond {_MAX_EXPONENT} in absolute value")
-    try:
-        f = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        if len(token) <= _MAX_ECHOED_TOKEN:
-            raise
-        raise ValueError(f"invalid token of {len(token)} characters") from None
-    return f.numerator, f.denominator
+        p, q, point, exp = m.groups()
+        if point is None and exp is None:
+            if d := int(q or 1):
+                return int(p), d
+        else:
+            p, d = int(p.lstrip("+-") or 0), 1
+            if point:
+                d = 10 ** len(point.replace("_", ""))
+                p = p * d + int(point)
+            if exp:
+                digits = exp.lstrip("+-").replace("_", "")
+                # a nonzero digit before the last four (of any script, so not lstrip("0")) is >= 10^4
+                if any(map(int, digits[:-4])) or int(digits[-4:]) > _MAX_EXPONENT:
+                    raise ValueError(f"exponent beyond {_MAX_EXPONENT} in absolute value")
+                scale = 10 ** int(digits[-4:])
+                p, d = (p, d * scale) if exp[0] == "-" else (p * scale, d)
+            return (-p if token[0] == "-" else p), d
+    if len(token) > _MAX_ECHOED_TOKEN:
+        raise ValueError(f"invalid token of {len(token)} characters")
+    raise ValueError(f"invalid token {token!r}")
 
 
 def parse_rat_matrix(text: str) -> RatMatrix:
@@ -203,7 +202,7 @@ def parse_rat_matrix(text: str) -> RatMatrix:
         den = math.lcm(*(d for row in ratios for _, d in row))
         num = IntMatrix.from_rows([[p * (den // d) for p, d in row] for row in ratios])
         return RatMatrix.make(num, den)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad rational matrix: {exc}") from exc
 
 

@@ -147,24 +147,47 @@ def matrix_tokens():
     return st.one_of(integer, ratio, decimal, exponent, underscored, malformed)
 
 
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+
+
+def _token_error(token: str) -> str:
+    """The parser's text for a rejected token: quoted up to 64 characters, its length beyond."""
+    return f"invalid token {token!r}" if len(token) <= 64 else f"invalid token of {len(token)} characters"
+
+
 def _fraction_reference(token: str) -> Fraction:
-    """Fraction(token), except that an exponent beyond 4300 in absolute value is an error."""
-    exponent = re.fullmatch(r".*[eE][-+]?(\d[\d_]*)", token)
-    if exponent and int(exponent[1].replace("_", "")) > 4300:
+    """Fraction(token) with the underscores taken out of each digit run, so that
+    Python 3.10 reads the grammar of 3.11+, and with the parser's error texts.
+
+    An exponent beyond 4300 in absolute value is an error; the token is first
+    read with that exponent set to 0, so one malformed elsewhere is an invalid
+    token.  Every rejection by Fraction but int()'s limit on digits, which the
+    parser meets too, becomes the invalid-token text.
+    """
+    plain = _DIGIT_RUN.sub(lambda run: run[0].replace("_", ""), token)
+    exponent = re.fullmatch(r"(.*[eE][-+]?)(\d+)", plain)
+    large = exponent is not None and int(exponent[2]) > 4300
+    try:
+        value = Fraction(exponent[1] + "0" if large else plain)
+    except (ValueError, ZeroDivisionError) as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            raise
+        raise ValueError(_token_error(token)) from None
+    if large:
         raise ValueError("exponent beyond 4300 in absolute value")
-    return Fraction(token)
+    return value
 
 
 def parse_rat_matrix_reference(text: str) -> RatMatrix:
     """Reference for parse_rat_matrix: every token through Fraction's string parser,
-    with exponents bounded."""
+    with exponents bounded and the parser's error texts."""
     body = _parse_header_and_tokens(text)
     try:
         rows = [[_fraction_reference(t) for t in row] for row in body]
         den = math.lcm(*(x.denominator for row in rows for x in row))
         num = IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in row] for row in rows])
         return RatMatrix.make(num, den)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad rational matrix: {exc}") from exc
 
 

@@ -228,7 +228,7 @@ class TestVerify:
         assert err == f"error: {f}: bad rational matrix: exponent beyond 4300 in absolute value\n"
 
     def test_long_malformed_token_bounded(self, capsys, tmp_path):
-        # Fraction would echo all million characters of the token
+        # the text names the token's length instead of echoing its million characters
         f = tmp_path / "long.txt"
         f.write_text(f"2 2\n{'x' * 10**6} 0\n0 1\n")
         code, out, err = run(capsys, "verify", "--matrix", str(f))
@@ -355,6 +355,18 @@ class TestReflectCompose:
         assert code == 2
         assert out == ""
         assert err == "error: bad vector 'a,b'; expected comma-separated integers\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [("index", "--reflect", "1,,1"), ("reflect", "--vector", ",1,2"), ("reflect", "--vector", "1,2,")],
+        ids=["between", "before", "after"],
+    )
+    def test_empty_vector_field(self, capsys, args):
+        # an empty field is not skipped: 1,,1 is not the 2-vector (1, 1)
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad vector {args[2]!r}; expected comma-separated integers\n"
 
     def test_dimension_mismatch_names_files_and_sizes(self, capsys, tmp_path):
         r3, rot = tmp_path / "r3.txt", tmp_path / "rot.txt"
