@@ -71,12 +71,12 @@ def _read_isometry(path: str) -> RationalIsometry:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    fields = text.split(",")
+    if not text.strip():
+        return ()  # no coordinates: the reflection rejects the zero axis
     try:
-        # an empty field before, between or after commas is an error, not skipped
-        if len(fields) > 1 and not all(map(str.strip, fields)):
-            raise ValueError
-        return tuple(int(t) for t in text.replace(",", " ").split())
+        # one integer per comma-separated field, spaces around it allowed: "1 2" is
+        # not (1, 2), and an empty field before, between or after commas is an error
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"bad vector {text!r}; expected comma-separated integers")
 

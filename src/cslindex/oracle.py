@@ -8,22 +8,24 @@ Two oracles that never look at the invariant factors of Z:
   columns of Z.  The closure runs once per coprime part q_j of q and
   multiplies the orders (Chinese remainder theorem), so it visits
   Sigma_j elements per part, not their product Sigma.
-* lattice basis: one Hermite form of the lattice spanned by the rows of
-  [Z | I] and q Z^2n, which is {(w Z + q k, w + q l)}.  Its last n rows
-  span the vectors with first half zero, (0, w) with w Z ≡ 0 (mod q), and
-  those w make up Z^n ∩ Y Z^n.  The lattice holds q Z^2n, so the
-  elimination keeps every entry mod q, with one extended-gcd step per pair
-  of entries (`_xgcd`, all it shares with the Smith routines); no kernel
-  and no transform is computed.
+* lattice basis: Z^n ∩ Y Z^n = {w : w Z ≡ 0 (mod q)} is q Λ*, q times
+  the dual of the lattice Λ spanned by the columns of Z and q Z^n, since
+  w·x ∈ q Z for every x in Λ says exactly that w is integral (x = q e_i)
+  and that w Z ≡ 0 (mod q).  One n-wide Hermite elimination gives a
+  triangular basis B of Λ, keeping every entry mod q with one extended-gcd
+  step per pair of entries (`_xgcd`, all it shares with the Smith
+  routines); forward substitution gives q B^-T, and a reduction its
+  Hermite form.  No kernel and no transform is computed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .indices import IndexReport, index_closed_form, index_fortes
-from .isometry import RationalIsometry
+from .isometry import CrossCheckFailed, RationalIsometry
 from .matrices import IntMatrix
 from .normalform import _xgcd
 
@@ -127,23 +129,35 @@ class IntersectionBasis:
         return math.prod(self.basis.entries[:: self.basis.cols + 1])
 
 
-def _hermite_tail_mod(z: IntMatrix, q: int) -> IntMatrix:
-    """Right n x n block of the last n rows of the row Hermite form of [Z | I] + q Z^2n.
+def _dual_hermite_mod(z: IntMatrix, q: int) -> IntMatrix:
+    """Row Hermite basis of {w : w Z ≡ 0 (mod q)} = q Λ*, Λ spanned by the columns of Z and q Z^n.
 
-    The rows of [Z | I] enter reduced mod q, the identity block too, so
-    q = 1 gives the identity.  The lattice holds q Z^2n, so every entry is
-    kept mod q (Domich, Kannan & Trotter 1987).  Column by column, one
-    extended-gcd step per nonzero row folds the rows into one row r and
-    leaves the others zero there.  With p = gcd(r_j, q) = u r_j + v q, the
-    pivot row is u r + v q e_j, and (q / p) r, which is zero at j mod q,
-    rejoins the rows; a column with no nonzero row has the pivot row q e_j.
-    Entries above each kept pivot are reduced into [0, pivot) at the end.
+    w ∈ q Λ* iff w·x ∈ q Z for every x in Λ: x = q e_i makes w integral,
+    and the columns of Z give w Z ≡ 0 (mod q).  The rows of B^-T are the
+    dual basis of the rows of any basis B of Λ, so the rows of q B^-T span
+    q Λ*.  No orthogonality of Y is used.
+
+    1. A lower-triangular basis B of Λ, row b_j with pivot b_jj at j.  The
+       columns of Z enter as rows reduced mod q, and Λ holds q Z^n, so
+       every entry is kept mod q (Domich, Kannan & Trotter 1987).  From
+       column n - 1 down to 0, one extended-gcd step per nonzero row folds
+       the rows into one row r and leaves the others zero there.  With
+       p = gcd(r_j, q) = u r_j + v q, b_j is u r mod q, and (q / p) r, which
+       is zero at j mod q, rejoins the rows; a column with no nonzero row
+       gets b_j = q e_j.
+    2. The rows w_i of q B^-T, upper triangular, by forward substitution on
+       w_i·b_j = q [i = j]: w_ii = q / b_ii, and w_ij for j > i is
+       -sum_{i <= k < j} w_ik b_jk divided by b_jj, then kept mod q.  That
+       moves w_i·b_j by a multiple of q, so w_i stays in q Λ*, and as q e_j
+       lies in Λ every later division is still exact.  A remainder in
+       either division means B is not a basis of such a Λ: CrossCheckFailed.
+    3. Entries above each pivot are reduced into [0, pivot), bottom up.
     """
     n = z.rows
-    rows = [[x % q for x in z.row(i)] + [1 % q if k == i else 0 for k in range(n)] for i in range(n)]
-    kept = []  # pivot rows of columns n to 2n - 1, without their first n entries
-    for j in range(2 * n):
-        # every row is zero before column j, so row steps start at j
+    rows = [row for row in ([x % q for x in col] for col in z.columns()) if any(row)]
+    lower = [None] * n
+    for j in range(n - 1, -1, -1):
+        # every row has length j + 1: the entries after j are zero and dropped
         r = None
         rest = []
         for row in rows:
@@ -155,48 +169,61 @@ def _hermite_tail_mod(z: IntMatrix, q: int) -> IntMatrix:
                 x = r[j]
                 if y % x == 0:
                     c = y // x
-                    row[j:] = [(e - c * f) % q for f, e in zip(r[j:], row[j:])]
+                    row = [(e - c * f) % q for f, e in zip(r, row)]
                 else:
                     g, s, u = _xgcd(x, y)
                     x, y = x // g, y // g
-                    pairs = list(zip(r[j:], row[j:]))
-                    r[j:] = [(s * f + u * e) % q for f, e in pairs]
-                    row[j:] = [(y * f - x * e) % q for f, e in pairs]
-                if not any(row[j:]):
+                    r, row = (
+                        [(s * f + u * e) % q for f, e in zip(r, row)],
+                        [(y * f - x * e) % q for f, e in zip(r, row)],
+                    )
+                if not any(row):
                     continue
             rest.append(row)
         if r is None:
-            if j >= n:
-                kept.append([q if i == j else 0 for i in range(n, 2 * n)])
+            lower[j] = [0] * j + [q]
         else:
             p, u, _ = _xgcd(r[j], q)
-            if j >= n:
-                kept.append([u * e % q for e in r[n:]])  # u r_j = p mod q, and p < q
+            lower[j] = [u * e % q for e in r]  # u r_j = p mod q, and p < q
             if p > 1:
-                r[j:] = [q // p * e % q for e in r[j:]]
-                if any(r[j:]):
+                r = [q // p * e % q for e in r]
+                if any(r):
                     rest.append(r)
+        for row in rest:
+            row.pop()
         rows = rest
-    for i in range(n - 2, -1, -1):
-        bi = kept[i]
+    for j, b in enumerate(lower):
+        if not b[j] or q % b[j]:
+            raise CrossCheckFailed(f"HNF oracle: the pivot of column {j} does not divide q")
+    basis = []
+    for i in range(n):
+        w = [0] * i + [q // lower[i][i]]
         for j in range(i + 1, n):
-            bj = kept[j]
+            bj = lower[j]
+            c, rem = divmod(-sum(map(operator.mul, w[i:], bj[i:j])), bj[j])
+            if rem:
+                raise CrossCheckFailed(f"HNF oracle: forward substitution leaves a remainder in column {j}")
+            w.append(c % q)
+        basis.append(w)
+    for i in range(n - 2, -1, -1):
+        bi = basis[i]
+        for j in range(i + 1, n):
+            bj = basis[j]
             c = bi[j] // bj[j]
             if c:
                 bi[j] -= c * bj[j]
                 bi[j + 1 :] = [(e - c * f) % q for e, f in zip(bi[j + 1 :], bj[j + 1 :])]
-    return IntMatrix(n, n, tuple(x for row in kept for x in row))
+    return IntMatrix(n, n, tuple(x for row in basis for x in row))
 
 
 def intersection_hnf(y: RationalIsometry) -> IntersectionBasis:
     """Canonical basis of the coincidence sublattice via Hermite reduction mod q.
 
-    In the echelon basis of [Z | I] + q Z^2n the rows with n leading zeros
-    span the lattice vectors that start with n zeros (Cohen 1993, §2.4), so
-    the right n x n block of the last n rows is the Hermite basis of
-    {w : w Z ≡ 0 (mod q)} = Z^n ∩ Y Z^n.
+    Z^n ∩ Y Z^n = {w : w Z ≡ 0 (mod q)}, which is q times the dual of the
+    lattice spanned by the columns of Z and q Z^n, so its Hermite basis
+    comes from one n-wide elimination of that lattice.
     """
-    return IntersectionBasis(_hermite_tail_mod(y.z, y.q))
+    return IntersectionBasis(_dual_hermite_mod(y.z, y.q))
 
 
 def index_by_hnf(y: RationalIsometry) -> IndexReport:

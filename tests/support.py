@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cslindex.isometry import NotOrthogonal, RationalIsometry
 from cslindex.matrices import IntMatrix, RatMatrix, _parse_header_and_tokens
-from cslindex.normalform import _echelon, _reduce
+from cslindex.normalform import _echelon, _reduce, _xgcd
 
 
 def check_gram_reference(q: int, z: IntMatrix) -> None:
@@ -254,3 +254,13 @@ def rotation_direct_sum(copies: int) -> tuple[str, int]:
         rows[k][k] = rows[k + 1][k + 1] = f"{a}/{c}"
         rows[k][k + 1], rows[k + 1][k] = f"{-b}/{c}", f"{b}/{c}"
     return f"{n} {n}\n" + "".join(" ".join(row) + "\n" for row in rows), c
+
+
+def wrong_xgcd(g_off: int = 0, s_factor: int = 1):
+    """normalform._xgcd with its gcd moved by g_off and its first Bezout coefficient scaled by s_factor."""
+
+    def xgcd(a: int, b: int) -> tuple[int, int, int]:
+        g, s, t = _xgcd(a, b)
+        return g + g_off, s * s_factor, t
+
+    return xgcd

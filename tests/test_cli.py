@@ -19,7 +19,7 @@ from cslindex.indices import IndexReport
 from cslindex.matrices import IntMatrix, format_rat_matrix, mat_mul, parse_int_matrix
 from cslindex.normalform import _smith_diagonal_mod
 from cslindex.oracle import IntersectionBasis, index_by_counting
-from support import det, diagonal_matrix, matrix_tokens, rotation_direct_sum
+from support import det, diagonal_matrix, matrix_tokens, rotation_direct_sum, wrong_xgcd
 
 ID3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 ROT = "2 2\n3/5 -4/5\n4/5 3/5\n"
@@ -368,6 +368,23 @@ class TestReflectCompose:
         assert out == ""
         assert err == f"error: bad vector {args[2]!r}; expected comma-separated integers\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [("index", "--reflect", "1 2"), ("index", "--reflect", "1,2 3"), ("reflect", "--vector", "1 1,1")],
+        ids=["no-comma", "second-field", "first-field"],
+    )
+    def test_space_is_not_a_separator(self, capsys, args):
+        # each comma-separated field is one integer: "1 2" is not the 2-vector (1, 2)
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad vector {args[2]!r}; expected comma-separated integers\n"
+
+    def test_spaces_around_fields(self, capsys):
+        code, out, _ = run(capsys, "index", "--reflect", " 1 , 1,1 ")
+        assert code == 0
+        assert out == "sigma=3 method=reflection\n"
+
     def test_dimension_mismatch_names_files_and_sizes(self, capsys, tmp_path):
         r3, rot = tmp_path / "r3.txt", tmp_path / "rot.txt"
         r3.write_text(REF3)
@@ -654,6 +671,16 @@ class TestCrossCheckFailure:
         assert code == 1
         assert out == ""
         assert err.startswith("error: witness verification failed")
+
+    def test_hnf_oracle_division_exits_one(self, capsys, tmp_path, monkeypatch):
+        # an _xgcd with a doubled Bezout coefficient gives the oracle a pivot that does not divide q
+        monkeypatch.setattr(oracle, "_xgcd", wrong_xgcd(s_factor=2))
+        f = tmp_path / "rot.txt"
+        f.write_text(ROT)
+        code, out, err = run(capsys, "verify", "--matrix", str(f))
+        assert code == 1
+        assert out == ""
+        assert err == "error: HNF oracle: the pivot of column 1 does not divide q\n"
 
     def test_diagonal_tail_not_q_exits_one(self, capsys, tmp_path, monkeypatch):
         # past the middle, every entry of the Smith diagonal mod q must be q

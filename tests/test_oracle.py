@@ -7,13 +7,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cslindex
 from cslindex import normalform, oracle
 from cslindex.indices import index_fortes
 from cslindex.isometry import (
+    CrossCheckFailed,
     RationalIsometry,
     from_rational_matrix,
     identity_isometry,
@@ -28,7 +29,7 @@ from cslindex.oracle import (
     CapExceeded,
     _closure_size,
     _coprime_parts,
-    _hermite_tail_mod,
+    _dual_hermite_mod,
     index_by_counting,
     index_by_hnf,
     intersection_hnf,
@@ -38,8 +39,10 @@ from cslindex.oracle import (
 from support import (
     hermite_normal_form,
     hnf_lattice_contains,
+    matrices,
     residue_image_size_reference,
     rotation_direct_sum,
+    wrong_xgcd,
 )
 
 ROT_2D = from_rational_matrix(
@@ -246,11 +249,11 @@ class TestIntersectionHnf:
         assert result.index * solutions == y.q**n
 
 
-def unreduced_intersection_basis(y):
+def unreduced_intersection_basis(z, q):
     """Right block of the last n rows of the Hermite form of [[Z, I], [q I, 0]], with no reduction mod q."""
-    n = y.n
-    stacked = [list(y.z.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    stacked += [[y.q * int(i == j) for j in range(2 * n)] for i in range(n)]
+    n = z.rows
+    stacked = [list(z.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    stacked += [[q * int(i == j) for j in range(2 * n)] for i in range(n)]
     h = hermite_normal_form(IntMatrix.from_rows(stacked))
     return IntMatrix.from_rows(h.row(i)[n:] for i in range(n, 2 * n))
 
@@ -266,7 +269,7 @@ def isometries(draw):
 class TestHermiteModQ:
     def check(self, y):
         result = intersection_hnf(y)
-        assert result.basis == unreduced_intersection_basis(y)
+        assert result.basis == unreduced_intersection_basis(y.z, y.q)
         assert result.index == math.prod(result.basis.at(i, i) for i in range(y.n))
 
     @settings(max_examples=80, deadline=None)
@@ -274,18 +277,49 @@ class TestHermiteModQ:
     def test_matches_unreduced_hermite_form(self, y):
         self.check(y)
 
-    @pytest.mark.parametrize("n, seed", [(20, 2020), (32, 3232)])
-    def test_matches_unreduced_hermite_form_large(self, n, seed):
-        self.check(random_isometry(n, n, 8, seed))
+    @pytest.mark.parametrize(
+        "args",
+        [(20, 20, 8, 2020), (32, 32, 8, 3232), (8, 200, 8, 5), (3, 1000, 8, 5)],
+        ids=["20-2020", "32-3232", "8-200-5", "3-1000-5"],
+    )
+    def test_matches_unreduced_hermite_form_large(self, args):
+        # the long products have q of 1,246 and 4,094 bits
+        self.check(random_isometry(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=matrices(lo=-60, hi=60, dims=st.integers(1, 6).map(lambda n: (n, n))), q=st.integers(1, 500))
+    @example(z=IntMatrix.from_rows([[3, 4], [4, 0]]), q=6)
+    def test_any_square_matrix(self, z, q):
+        # the construction uses no orthogonality, so it holds for any square Z and q >= 1
+        assert _dual_hermite_mod(z, q) == unreduced_intersection_basis(z, q)
 
     @pytest.mark.parametrize("args, q", [((8, 2, 4, 83), 1210), ((4, 1, 3, 6), 15)])
     def test_rejoined_row_is_the_folded_row(self, args, q):
-        # rejoining (q / p) times the pivot row instead of (q / p) r gives a wrong
-        # basis on both draws: the first with Euclid's Bezout coefficients, the
-        # second with those of normalform._xgcd
+        # rejoining (q / p) times the pivot row instead of (q / p) r gave a wrong
+        # basis on both draws when the oracle eliminated [Z | I]; on the column
+        # lattice of Z it shows on the example of test_any_square_matrix
         y = random_isometry(*args)
         assert y.q == q
         self.check(y)
+
+
+class TestDualDivisionChecks:
+    # a corrupted lower basis B of the column lattice is caught by a division of the dual step
+    def test_pivot_not_dividing_q(self, monkeypatch):
+        # a doubled Bezout coefficient makes the pivot 2 gcd(r_j, q) mod q
+        monkeypatch.setattr(oracle, "_xgcd", wrong_xgcd(s_factor=2))
+        with pytest.raises(CrossCheckFailed) as failed:
+            intersection_hnf(ROT_2D)
+        assert str(failed.value) == "HNF oracle: the pivot of column 1 does not divide q"
+
+    def test_forward_substitution_remainder(self, monkeypatch):
+        # a wrong gcd leaves pivots that divide q = 95, but not a basis of the lattice
+        y = random_isometry(3, 2, 3, 39)
+        assert y.q == 95
+        monkeypatch.setattr(oracle, "_xgcd", wrong_xgcd(g_off=1))
+        with pytest.raises(CrossCheckFailed) as failed:
+            intersection_hnf(y)
+        assert str(failed.value) == "HNF oracle: forward substitution leaves a remainder in column 1"
 
 
 class TestOracleAgreement:
@@ -347,7 +381,7 @@ class TestOraclesNeverReadSmith:
     def test_profile_sees_the_routines(self):
         # the probe itself works: the HNF oracle's elimination and a formula's Smith diagonal show
         y = random_isometry(4, 3, 3, 7)
-        assert _hermite_tail_mod.__code__ in codes_called(intersection_hnf, y)
+        assert _dual_hermite_mod.__code__ in codes_called(intersection_hnf, y)
         seen = codes_called(index_fortes, y)
         assert RationalIsometry.invariant_factors.func.__code__ in seen
         assert normalform._smith_diagonal_mod.__code__ in seen
