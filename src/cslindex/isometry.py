@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import IntMatrix, RatMatrix, _lowest_terms, mat_mul
+from .matrices import IntMatrix, RatMatrix, _exact_int, _lowest_terms, mat_mul
 from .normalform import _smith_diagonal_mod
 from .rng import Lcg
 
@@ -188,7 +188,7 @@ class ReflectionAxis:
         """Normalize coords to a primitive axis; an axis is returned unchanged."""
         if isinstance(coords, ReflectionAxis):
             return coords
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(_exact_int, coords))
         if not any(coords):
             raise ValueError("reflection axis must be nonzero")
         g = math.gcd(*coords)

@@ -8,8 +8,18 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def _exact_int(x) -> int:
+    """x as an int, as operator.index reads it; a float, Fraction or str is a
+    ValueError that names it, where int() would truncate or parse it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,7 @@ class IntMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), ncols, tuple(int(x) for r in rows for x in r))
+        return cls(len(rows), ncols, tuple(map(_exact_int, [x for r in rows for x in r])))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -126,6 +136,7 @@ _ENTRY = re.compile(rf"([-+]?(?:{_RUN}|(?=\.\d)))(?:/({_RUN})|(?:\.({_RUN})?)?(?
 _MAX_EXPONENT = 4300
 # the longest token an error text echoes
 _MAX_ECHOED_TOKEN = 64
+_INTEGER = re.compile(rf"[-+]?{_RUN}")
 
 
 def format_int_matrix(a: IntMatrix) -> str:
@@ -156,10 +167,32 @@ def _parse_header_and_tokens(text: str):
     return body
 
 
+def _past_digit_limit(token: str) -> ValueError:
+    """The error for a well-formed entry that int() rejects, which it does only for
+    a digit run past its limit on digits for int from str; int() words that limit
+    differently across Pythons, this text does not."""
+    digits = max(len(run) - run.count("_") for run in re.findall(_RUN, token))
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"an entry of {digits} digits is past the limit of {limit} digits for int from str")
+
+
+def _int_entry(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        if _INTEGER.fullmatch(token):
+            raise _past_digit_limit(token) from None
+        raise
+
+
 def parse_int_matrix(text: str) -> IntMatrix:
     body = _parse_header_and_tokens(text)
     try:
-        return IntMatrix.from_rows([[int(t) for t in row] for row in body])
+        try:
+            entries = [[int(t) for t in row] for row in body]
+        except ValueError:  # again through _int_entry, for the parser's own text past the limit on digits
+            entries = [[_int_entry(t) for t in row] for row in body]
+        return IntMatrix.from_rows(entries)
     except ValueError as exc:
         raise ValueError(f"bad integer matrix: {exc}") from exc
 
@@ -174,21 +207,25 @@ def _ratio(token: str) -> tuple[int, int]:
     m = _ENTRY.fullmatch(token)
     if m:
         p, q, point, exp = m.groups()
-        if point is None and exp is None:
-            if d := int(q or 1):
-                return int(p), d
-        else:
-            p, d = int(p.lstrip("+-") or 0), 1
-            if point:
-                d = 10 ** len(point.replace("_", ""))
-                p = p * d + int(point)
-            if exp:
-                digits = exp.lstrip("+-").replace("_", "")
-                # a nonzero digit before the last four (of any script, so not lstrip("0")) is >= 10^4
-                if any(map(int, digits[:-4])) or int(digits[-4:]) > _MAX_EXPONENT:
-                    raise ValueError(f"exponent beyond {_MAX_EXPONENT} in absolute value")
-                scale = 10 ** int(digits[-4:])
-                p, d = (p, d * scale) if exp[0] == "-" else (p * scale, d)
+        try:
+            if point is None and exp is None:
+                if d := int(q or 1):
+                    return int(p), d
+            else:
+                p, d = int(p.lstrip("+-") or 0), 1
+                if point:
+                    d = 10 ** len(point.replace("_", ""))
+                    p = p * d + int(point)
+        except ValueError:  # the token matched _ENTRY, so a digit run is past int()'s limit
+            raise _past_digit_limit(token) from None
+        if exp:
+            digits = exp.lstrip("+-").replace("_", "")
+            # a nonzero digit before the last four (of any script, so not lstrip("0")) is >= 10^4
+            if any(map(int, digits[:-4])) or int(digits[-4:]) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {_MAX_EXPONENT} in absolute value")
+            scale = 10 ** int(digits[-4:])
+            p, d = (p, d * scale) if exp[0] == "-" else (p * scale, d)
+        if d:  # 0 only for p/0
             return (-p if token[0] == "-" else p), d
     if len(token) > _MAX_ECHOED_TOKEN:
         raise ValueError(f"invalid token of {len(token)} characters")

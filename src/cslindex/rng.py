@@ -10,6 +10,8 @@ at the tiny ranges used here.
 
 from __future__ import annotations
 
+from .matrices import _exact_int
+
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
@@ -17,7 +19,7 @@ _MASK = (1 << 64) - 1
 
 class Lcg:
     def __init__(self, seed: int):
-        self._state = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK
+        self._state = (_exact_int(seed) ^ 0x9E3779B97F4A7C15) & _MASK
         # decouple the first output from low-entropy seeds
         self._step()
         self._step()

@@ -3,6 +3,7 @@
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -161,8 +162,9 @@ def _fraction_reference(token: str) -> Fraction:
 
     An exponent beyond 4300 in absolute value is an error; the token is first
     read with that exponent set to 0, so one malformed elsewhere is an invalid
-    token.  Every rejection by Fraction but int()'s limit on digits, which the
-    parser meets too, becomes the invalid-token text.
+    token.  int()'s limit on digits, which the parser meets too, becomes the
+    parser's text, which names the longest digit run; every other rejection by
+    Fraction becomes the invalid-token text.
     """
     plain = _DIGIT_RUN.sub(lambda run: run[0].replace("_", ""), token)
     exponent = re.fullmatch(r"(.*[eE][-+]?)(\d+)", plain)
@@ -171,7 +173,9 @@ def _fraction_reference(token: str) -> Fraction:
         value = Fraction(exponent[1] + "0" if large else plain)
     except (ValueError, ZeroDivisionError) as exc:
         if str(exc).startswith("Exceeds the limit"):
-            raise
+            digits = max(len(run.replace("_", "")) for run in _DIGIT_RUN.findall(token))
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"an entry of {digits} digits is past the limit of {limit} digits for int from str") from None
         raise ValueError(_token_error(token)) from None
     if large:
         raise ValueError("exponent beyond 4300 in absolute value")

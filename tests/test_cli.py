@@ -665,6 +665,14 @@ class TestCrossCheckFailure:
         assert err.startswith("error: invariant-factor product disagrees")
         assert "Traceback" not in err
 
+    def test_three_square_search_disagreeing_with_the_form_test_exits_one(self, capsys, monkeypatch):
+        # a search that finds nothing for 13, which the 4^a(8k+7) test allows
+        monkeypatch.setattr(spectrum, "vectors_with_norm", lambda n, norm: iter(()))
+        code, out, err = run(capsys, "decompose", "--three", "13")
+        assert code == 1
+        assert out == ""
+        assert err == "error: search found no representation of 13 but the form test allows one\n"
+
     def test_witness_mismatch_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(spectrum, "intersection_hnf", lambda y: IntersectionBasis(IntMatrix(1, 1, (0,))))
         code, out, err = run(capsys, "spectrum", "--dim", "3", "--max", "3")
@@ -746,6 +754,8 @@ def _argv(draw, files):
     # what argparse requires
     required = {"reflect --vector", "verify --matrix", "corpus --dim", "corpus --count", "corpus --seed"}
     required |= {"spectrum --dim", "spectrum --max"}
+    # one --three in four is 8k + 7 up to 10^12, a target with no three-square form
+    three = st.one_of(*[_small_int(-3, 10**4)] * 3, st.integers(0, (10**12 - 7) // 8).map(lambda k: str(8 * k + 7)))
     options = {
         "index": [("--matrix", path), ("--reflect", _vector())],
         "reflect": [("--vector", _vector())],
@@ -759,7 +769,7 @@ def _argv(draw, files):
             ("--cap", _small_int(-1, 10**4)),
         ],
         "spectrum": [("--dim", _small_int(-1, 6)), ("--max", _small_int(-1, 60))],
-        "decompose": [("--odd", _small_int(-3, 10**4)), ("--three", _small_int(-3, 10**4))],
+        "decompose": [("--odd", _small_int(-3, 10**4)), ("--three", three)],
     }
     positional = {"snf": 1, "compose": 2}
     argv = [command]

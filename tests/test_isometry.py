@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cslindex import isometry
+from cslindex.indices import index_reflection
 from cslindex.isometry import (
     NotOrthogonal,
     RationalIsometry,
@@ -19,6 +21,7 @@ from cslindex.isometry import (
     reflection,
 )
 from cslindex.matrices import IntMatrix, RatMatrix, mat_mul, parse_rat_matrix
+from cslindex.rng import Lcg
 from support import check_gram_reference, transpose_inverse
 
 
@@ -408,6 +411,17 @@ class TestReflectionAxis:
             ReflectionAxis(coords)
         assert ReflectionAxis.from_coords(coords).coords == tuple(-c for c in coords)
 
+    @pytest.mark.parametrize(
+        "coords, text",
+        [((1.5, 2), "1.5"), ((Fraction(7, 2), 1), "Fraction(7, 2)"), ((1, 2.0), "2.0"), (("1", 2), "'1'")],
+    )
+    def test_coordinates_must_be_integers(self, coords, text):
+        # int() would truncate 1.5 and 7/2 and read "1"; index 5 would be the axis (1, 2)'s
+        for make in (ReflectionAxis.from_coords, index_reflection):
+            with pytest.raises(ValueError) as exc:
+                make(coords)
+            assert str(exc.value) == f"expected an integer, got {text}"
+
     @pytest.mark.parametrize("coords", [(0, 0, 0), ()])
     def test_zero_direct_construction_rejected(self, coords):
         # gcd of a zero or empty vector is 0, so the primitive test rejects it
@@ -470,6 +484,14 @@ class TestRandomIsometry:
         for s in range(25):
             y = random_isometry(4, 3, 4, s)
             assert from_rational_matrix(y.as_rational()) == y
+
+    @pytest.mark.parametrize("seed, text", [(7.9, "7.9"), (Fraction(14, 2), "Fraction(7, 1)"), ("7", "'7'")])
+    def test_seed_must_be_an_integer(self, seed, text):
+        # int() would read each of these as the seed 7
+        for make in (Lcg, lambda seed: random_isometry(3, 1, 4, seed)):
+            with pytest.raises(ValueError) as exc:
+                make(seed)
+            assert str(exc.value) == f"expected an integer, got {text}"
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,17 @@ def square_matrices(n, lo=-9, hi=9):
         min_size=n,
         max_size=n,
     ).map(IntMatrix.from_rows)
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize(
+        "rows, text", [([[1.5, 2]], "1.5"), ([[1, 2], [Fraction(6, 2), 4]], "Fraction(3, 1)"), ([["1"]], "'1'")]
+    )
+    def test_entries_must_be_integers(self, rows, text):
+        # int() would truncate 1.5 and read 6/2 and "1"
+        with pytest.raises(ValueError) as exc:
+            IntMatrix.from_rows(rows)
+        assert str(exc.value) == f"expected an integer, got {text}"
 
 
 class TestMatMul:
@@ -178,6 +190,48 @@ class TestTextFormat:
         with pytest.raises(ValueError) as exc:
             parse_rat_matrix(f"1 2\n{token} 1/3\n")
         assert str(exc.value) == f"bad rational matrix: {text}"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4,300 digits for int from str, whatever the test run set."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7")
+class TestDigitLimit:
+    """int() words its own limit text differently on Python 3.10 and 3.11+; the parsers do not."""
+
+    @pytest.mark.parametrize(
+        "parse, entry, text",
+        [
+            (parse_int_matrix, "1" * 5000, "bad integer matrix: an entry of 5000 digits"),
+            (parse_int_matrix, "-" + "1_" * 4300 + "1", "bad integer matrix: an entry of 4301 digits"),
+            (parse_rat_matrix, "1" * 5000, "bad rational matrix: an entry of 5000 digits"),
+            (parse_rat_matrix, "1/" + "2" * 5000, "bad rational matrix: an entry of 5000 digits"),
+            (parse_rat_matrix, "-0." + "5" * 4400 + "e-3", "bad rational matrix: an entry of 4400 digits"),
+        ],
+        ids=["int", "int-underscores", "rat", "rat-q", "rat-point"],
+    )
+    def test_own_text(self, default_digit_limit, parse, entry, text):
+        with pytest.raises(ValueError) as exc:
+            parse(f"1 2\n{entry} 3\n")
+        assert str(exc.value) == f"{text} is past the limit of 4300 digits for int from str"
+
+    def test_malformed_int_entry_keeps_the_int_text(self, default_digit_limit):
+        # a digit run past the limit inside a malformed entry is not the reason
+        with pytest.raises(ValueError, match="^bad integer matrix: invalid literal for int"):
+            parse_int_matrix("1 2\nx" + "1" * 5000 + " 3\n")
+
+    @pytest.mark.parametrize("parse", [parse_int_matrix, parse_rat_matrix])
+    def test_parses_once_the_limit_is_lifted(self, default_digit_limit, parse):
+        # as the CLI lifts it
+        sys.set_int_max_str_digits(0)
+        m = parse(f"1 2\n{'1' * 5000} 3\n")
+        assert (m if parse is parse_int_matrix else m.numerator).entries == (int("1" * 5000), 3)
 
 
 class TestRatMatrix:

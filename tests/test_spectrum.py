@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -84,6 +86,19 @@ class TestThreeSquares:
         assert is_three_square_excluded(m)
         assert three_square_decompose(m) is None
 
+    @pytest.mark.parametrize("m", [7_000_000_007, 999_999_999_999])
+    def test_odd_excluded_target_is_quick(self, m):
+        # m - a^2 is 3, 6 or 7 mod 8 for every a, so the walk skips every first coordinate
+        start = time.perf_counter()
+        assert three_square_decompose(m) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_search_disagreeing_with_the_form_test_raises(self, monkeypatch):
+        # the search decides first; the 4^a(8k+7) test only confirms a None
+        monkeypatch.setattr(spectrum, "vectors_with_norm", lambda n, norm: iter(()))
+        with pytest.raises(CrossCheckFailed, match="^search found no representation of 13 but the form test allows one$"):
+            three_square_decompose(13)
+
 
 class TestFourSquaresOdd:
     def test_seven(self):
@@ -135,8 +150,9 @@ class TestShellEnumeration:
 
     def test_every_vector_in_order(self):
         # primitive or not; n = 1 and norm 0 included
-        for n in range(1, 6):
-            for norm in range(60):
+        # n = 3 and 4 go further, where two coordinates are left after many prefixes
+        for n, norms in ((1, 60), (2, 60), (3, 300), (4, 150), (5, 60)):
+            for norm in range(norms):
                 assert list(vectors_with_norm(n, norm)) == nonincreasing_with_norm(n, norm)
 
     def test_dimension_beyond_recursion_limit(self):
@@ -248,6 +264,15 @@ class TestCoprimeWitness:
         # 4 is not a reflection index in dimension 3: norm 8 has no primitive vector
         with pytest.raises(WitnessNotFound):
             coprime_witness((4,), 3)
+
+    @pytest.mark.parametrize(
+        "targets, text", [((3.0, 5), "3.0"), ((3, Fraction(10, 2)), "Fraction(5, 1)"), (("3",), "'3'")]
+    )
+    def test_targets_must_be_integers(self, targets, text):
+        # int() would read 3.0 and 5/1 as 3 and 5, and "3" as 3
+        with pytest.raises(ValueError) as exc:
+            coprime_witness(targets, 3)
+        assert str(exc.value) == f"expected an integer, got {text}"
 
     @pytest.mark.parametrize("targets, n", [((1,), -5), ((3,), 0), ((1,), 1)])
     def test_dimension_below_two_rejected(self, targets, n):
